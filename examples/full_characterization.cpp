@@ -17,47 +17,34 @@
 //   HBMVOLT_HALT_AFTER=N     simulate the process dying after N sweep
 //                            steps; re-run with the same output_dir to
 //                            resume from checkpoint.json
+// An unparseable or out-of-range knob (or threads argument) exits 2
+// naming it and what it accepts.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/campaign.hpp"
 #include "common/log.hpp"
+#include "knobs.hpp"
 
 using namespace hbmvolt;
 
-namespace {
-
-double env_double(const char* name, double fallback) {
-  const char* text = std::getenv(name);
-  return text != nullptr ? std::strtod(text, nullptr) : fallback;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* text = std::getenv(name);
-  return text != nullptr ? std::strtoull(text, nullptr, 0) : fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   set_log_level(LogLevel::kInfo);
-
-  board::BoardConfig board_config;
-  board_config.geometry = hbm::HbmGeometry::simulation_default();
-  board_config.monitor_config.noise_sigma_amps = 0.002;
-  board::Vcu128Board board(board_config);
 
   core::CampaignConfig config;
   if (argc > 1) config.output_dir = argv[1];
   config.threads = 0;  // all cores; same bytes as the serial path
   if (argc > 2) {
-    config.threads = static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10));
+    config.threads = static_cast<unsigned>(knobs::parse_long(
+        "threads", argv[2], 0, 1024, "a thread count in [0, 1024]"));
   }
 
-  const double chaos_rate = env_double("HBMVOLT_CHAOS_RATE", 0.0);
+  const double chaos_rate = knobs::env_double("HBMVOLT_CHAOS_RATE", 0.0);
+  const std::uint64_t chaos_seed =
+      knobs::env_u64("HBMVOLT_CHAOS_SEED", config.chaos.seed);
   if (chaos_rate > 0.0) {
-    config.chaos.seed = env_u64("HBMVOLT_CHAOS_SEED", config.chaos.seed);
+    config.chaos.seed = chaos_seed;
     config.chaos.pmbus_nack_rate = chaos_rate;
     config.chaos.wire_corrupt_rate = chaos_rate;
     config.chaos.ina_dropout_rate = chaos_rate;
@@ -67,9 +54,14 @@ int main(int argc, char** argv) {
                 chaos_rate,
                 static_cast<unsigned long long>(config.chaos.seed));
   }
-  config.halt_after_steps =
-      static_cast<unsigned>(env_u64("HBMVOLT_HALT_AFTER", 0));
+  config.halt_after_steps = static_cast<unsigned>(
+      knobs::env_long("HBMVOLT_HALT_AFTER", 0, 0, INT_MAX,
+                      "a sweep-step count in [0, 2147483647]"));
 
+  board::BoardConfig board_config;
+  board_config.geometry = hbm::HbmGeometry::simulation_default();
+  board_config.monitor_config.noise_sigma_amps = 0.002;
+  board::Vcu128Board board(board_config);
   core::Campaign campaign(board, config);
   auto result = campaign.run();
   if (!result.is_ok()) {

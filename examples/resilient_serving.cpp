@@ -19,10 +19,6 @@
 //   HBMVOLT_SOAK_SEED=N      workload seed (default 101)
 //   HBMVOLT_SOAK_VERIFY=1    re-run serially and require an identical
 //                            fingerprint (byte-reproducibility check)
-//   HBMVOLT_SOAK_ENGINE=S    bulk-operation engine: "range" (default,
-//                            the bit-sliced bulk path) or "perbeat"
-//                            (the one-beat-at-a-time reference); the
-//                            two produce identical fingerprints
 //   HBMVOLT_SOAK_SCHEME=S    mitigation scheme: "secded" (default),
 //                            "dected", or "stripe" (cross-PC erasure
 //                            stripe with online spare rebuild)
@@ -73,53 +69,16 @@
 #include "telemetry/hdr_histogram.hpp"
 #include "telemetry/telemetry.hpp"
 
+#include "knobs.hpp"
+
 using namespace hbmvolt;
 
 namespace {
 
-// Every knob parses strictly: an unrecognized or trailing-garbage value
-// aborts the soak (exit 2) naming the knob and what it accepts, instead
-// of silently running a different experiment than the one asked for.
-[[noreturn]] void bad_knob(const char* name, const char* value,
-                           const char* accepted) {
-  std::fprintf(stderr, "%s=\"%s\" is invalid; accepted: %s\n", name, value,
-               accepted);
-  std::exit(2);
-}
-
-double env_double(const char* name, double fallback) {
-  const char* text = std::getenv(name);
-  if (text == nullptr) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || value < 0.0) {
-    bad_knob(name, text, "a non-negative decimal number");
-  }
-  return value;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* text = std::getenv(name);
-  if (text == nullptr) return fallback;
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(text, &end, 0);
-  // strtoull silently wraps "-5" to a huge value; reject signs outright.
-  if (end == text || *end != '\0' || text[0] == '-' || text[0] == '+') {
-    bad_knob(name, text, "an unsigned integer (decimal, 0x hex, or octal)");
-  }
-  return value;
-}
-
-runtime::ChannelEngine env_engine() {
-  const char* text = std::getenv("HBMVOLT_SOAK_ENGINE");
-  if (text == nullptr || std::strcmp(text, "range") == 0) {
-    return runtime::ChannelEngine::kRange;
-  }
-  if (std::strcmp(text, "perbeat") == 0) {
-    return runtime::ChannelEngine::kPerBeat;
-  }
-  bad_knob("HBMVOLT_SOAK_ENGINE", text, "\"range\" or \"perbeat\"");
-}
+using knobs::bad_knob;
+using knobs::env_double;
+using knobs::env_long;
+using knobs::env_u64;
 
 mitigate::MitigationKind env_scheme() {
   const char* text = std::getenv("HBMVOLT_SOAK_SCHEME");
@@ -177,7 +136,6 @@ runtime::FleetConfig soak_fleet(std::uint64_t ops_per_pc, unsigned threads,
   config.seed = seed;
   config.threads = threads;
   config.channel.spare_fraction = 0.25;
-  config.channel.engine = env_engine();
   return config;
 }
 
@@ -315,9 +273,10 @@ bool write_file(const std::filesystem::path& path, const std::string& body) {
 
 int main() {
   const std::uint64_t ops = env_u64("HBMVOLT_SOAK_OPS", 8192);
-  const int mv = static_cast<int>(env_u64("HBMVOLT_SOAK_MV", 950));
-  const unsigned threads =
-      static_cast<unsigned>(env_u64("HBMVOLT_SOAK_THREADS", 4));
+  const int mv = static_cast<int>(env_long(
+      "HBMVOLT_SOAK_MV", 950, 500, 1500, "millivolts in [500, 1500]"));
+  const unsigned threads = static_cast<unsigned>(env_long(
+      "HBMVOLT_SOAK_THREADS", 4, 0, 1024, "a thread count in [0, 1024]"));
   const std::uint64_t seed = env_u64("HBMVOLT_SOAK_SEED", 101);
   const double chaos_rate = env_double("HBMVOLT_CHAOS_RATE", 1.0);
   const std::uint64_t chaos_seed = env_u64("HBMVOLT_CHAOS_SEED", 404);
@@ -344,10 +303,8 @@ int main() {
   telemetry::ScopedTelemetry scope(telemetry);
 
   std::printf("resilient serving soak: %llu ops/PC at %d mV, %u thread(s), "
-              "chaos x%.2f, %s engine, %s scheme, %llu tenant(s)\n",
+              "chaos x%.2f, %s scheme, %llu tenant(s)\n",
               static_cast<unsigned long long>(ops), mv, threads, chaos_rate,
-              env_engine() == runtime::ChannelEngine::kRange ? "range"
-                                                             : "perbeat",
               mitigate::to_string(env_scheme()),
               static_cast<unsigned long long>(tenant_count));
 

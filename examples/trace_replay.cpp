@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "board/vcu128.hpp"
+#include "knobs.hpp"
 #include "workload/trace.hpp"
 
 using namespace hbmvolt;
@@ -30,26 +31,6 @@ Result<workload::AccessTrace> load_trace(const char* path) {
   return workload::AccessTrace::from_text(buffer.str());
 }
 
-// Flags parse strictly: an unparseable or out-of-range value exits 2
-// naming the knob and the accepted range, instead of atoi() silently
-// turning "90O" into 90 and replaying the wrong experiment.
-[[noreturn]] void bad_knob(const char* name, const char* value,
-                           const char* accepted) {
-  std::fprintf(stderr, "%s=\"%s\" is invalid; accepted: %s\n", name, value,
-               accepted);
-  std::exit(2);
-}
-
-long parse_long(const char* name, const char* text, long lo, long hi,
-                const char* accepted) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < lo || value > hi) {
-    bad_knob(name, text, accepted);
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,11 +41,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--trace") == 0) {
       trace_path = argv[i + 1];
     } else if (std::strcmp(argv[i], "--pc") == 0) {
-      pc = static_cast<unsigned>(parse_long(
+      pc = static_cast<unsigned>(knobs::parse_long(
           "--pc", argv[i + 1], 0, 255, "a pseudo-channel index in [0, 255]"));
     } else if (std::strcmp(argv[i], "--mv") == 0) {
-      mv = static_cast<int>(parse_long("--mv", argv[i + 1], 500, 1500,
-                                       "millivolts in [500, 1500]"));
+      mv = static_cast<int>(knobs::parse_long(
+          "--mv", argv[i + 1], 500, 1500, "millivolts in [500, 1500]"));
     } else {
       std::fprintf(stderr,
                    "usage: %s [--trace FILE] [--pc N] [--mv MV]\n", argv[0]);

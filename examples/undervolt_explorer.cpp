@@ -30,6 +30,7 @@
 #include "core/reliability_tester.hpp"
 #include "core/report.hpp"
 #include "core/tradeoff.hpp"
+#include "knobs.hpp"
 
 using namespace hbmvolt;
 
@@ -57,24 +58,13 @@ void usage(const char* argv0) {
                argv0);
 }
 
-// Numeric flags parse strictly and fail fast: an unparseable or
-// out-of-range value exits 2 naming the knob and the accepted range,
-// instead of atoi() silently mapping garbage to 0 and sweeping a
-// different voltage window than the one asked for.
-[[noreturn]] void bad_knob(const char* name, const char* value,
-                           const char* accepted) {
-  std::fprintf(stderr, "%s=\"%s\" is invalid; accepted: %s\n", name, value,
-               accepted);
-  std::exit(2);
-}
+// Numeric flags parse strictly and fail fast (examples/knobs.hpp).
+using knobs::bad_knob;
+using knobs::parse_long;
 
 int parse_mv(const char* name, const char* text) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 500 || value > 1500) {
-    bad_knob(name, text, "millivolts in [500, 1500]");
-  }
-  return static_cast<int>(value);
+  return static_cast<int>(
+      parse_long(name, text, 500, 1500, "millivolts in [500, 1500]"));
 }
 
 bool parse(int argc, char** argv, Options& options) {
@@ -102,47 +92,25 @@ bool parse(int argc, char** argv, Options& options) {
     } else if (arg == "--step") {
       const char* value = next();
       if (value == nullptr) return false;
-      char* end = nullptr;
-      const long step = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || step <= 0 || step > 500) {
-        bad_knob("--step", value, "a step in millivolts in [1, 500]");
-      }
-      options.step_mv = static_cast<int>(step);
+      options.step_mv = static_cast<int>(parse_long(
+          "--step", value, 1, 500, "a step in millivolts in [1, 500]"));
     } else if (arg == "--batch") {
       const char* value = next();
       if (value == nullptr) return false;
-      char* end = nullptr;
-      const unsigned long batch = std::strtoul(value, &end, 10);
-      if (end == value || *end != '\0' || value[0] == '-' || batch == 0 ||
-          batch > 64) {
-        bad_knob("--batch", value, "a batch size in [1, 64]");
-      }
-      options.batch = static_cast<unsigned>(batch);
+      options.batch = static_cast<unsigned>(
+          parse_long("--batch", value, 1, 64, "a batch size in [1, 64]"));
     } else if (arg == "--seed") {
       const char* value = next();
       if (value == nullptr) return false;
-      char* end = nullptr;
-      const std::uint64_t seed = std::strtoull(value, &end, 0);
-      // strtoull silently wraps "-5" to a huge value; reject signs.
-      if (end == value || *end != '\0' || value[0] == '-' ||
-          value[0] == '+') {
-        bad_knob("--seed", value,
-                 "an unsigned integer (decimal, 0x hex, or octal)");
-      }
-      options.seed = seed;
+      options.seed = knobs::parse_u64("--seed", value);
     } else if (arg == "--csv") {
       options.csv = true;
     } else if (arg == "--tolerate") {
       const char* value = next();
       if (value == nullptr) return false;
-      char* end = nullptr;
-      const double tolerate = std::strtod(value, &end);
-      if (end == value || *end != '\0' || tolerate < 0.0 ||
-          tolerate > 1.0) {
-        bad_knob("--tolerate", value,
-                 "a tolerable corrupted-read fraction in [0.0, 1.0]");
-      }
-      options.tolerate = tolerate;
+      options.tolerate = knobs::parse_double(
+          "--tolerate", value, 0.0, 1.0,
+          "a tolerable corrupted-read fraction in [0.0, 1.0]");
     } else if (arg == "--out") {
       const char* value = next();
       if (value == nullptr) return false;

@@ -6,6 +6,7 @@
 #include "common/rng.hpp"
 #include "core/parallel.hpp"
 #include "telemetry/telemetry.hpp"
+#include "workload/trace.hpp"
 
 namespace hbmvolt::runtime {
 namespace {
@@ -39,7 +40,132 @@ void xor_into(hbm::Beat& acc, const hbm::Beat& b) noexcept {
   for (unsigned w = 0; w < 4; ++w) acc[w] ^= b[w];
 }
 
+/// Failed tries on one read before the fleet gives up on the run: a climb
+/// from deep undervolt to nominal is a few dozen rungs, everything above
+/// it O(1) (the same bound as ReliableChannel::serve_one).
+constexpr unsigned kMaxReadAttempts = 64;
+
 }  // namespace
+
+// ---- Built-in traffic ----
+
+/// The fleet's own traffic when FleetConfig::source is null: one
+/// deterministic op stream per slot (uniform random over a
+/// counter-derived seed, or `streaming_passes` sequential sweeps), fed
+/// through the same request seam as an external source.  A request is a
+/// maximal run of consecutive-beat records in one direction -- a read of
+/// a never-written beat is a write, exactly as the worker serves it --
+/// capped at the slot's remaining epoch budget.  With a storm hook every
+/// request is a single op, so the hook ticks once per op.  Beat j of a
+/// request carries payload key (record index + j).  Never hedges, never
+/// serves stale, and its retry budget never runs dry.
+class ServingFleet::TraceSource final : public RequestSource {
+ public:
+  explicit TraceSource(const ServingFleet& fleet)
+      : fleet_(fleet), per_op_(static_cast<bool>(fleet.config().storm_hook)) {
+    const FleetConfig& config = fleet.config();
+    slots_.resize(fleet.channels());
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      const std::uint64_t capacity = fleet.channel(i).capacity();
+      slots_[i].trace =
+          config.streaming_passes > 0
+              ? workload::make_streaming(capacity, config.streaming_passes)
+              : workload::make_uniform_random(
+                    capacity, config.ops_per_pc, config.write_fraction,
+                    stream_seed(config.seed, 0xF1EE7, config.pcs[i], 0));
+      longest_ = std::max<std::uint64_t>(longest_, slots_[i].trace.size());
+    }
+  }
+
+  void begin_epoch(const ServingFleet& /*fleet*/,
+                   std::uint64_t /*epoch*/) override {
+    // A request parked at the last barrier is re-cut under the fresh
+    // budget, like any other run starting at the cursor.
+    for (Slot& slot : slots_) {
+      slot.budget = fleet_.config().ops_per_epoch;
+      slot.queued = false;
+    }
+  }
+
+  const PlacedRequest* front(std::size_t i) override {
+    Slot& slot = slots_[i];
+    if (slot.queued) return &slot.request;
+    if (slot.cursor >= slot.trace.size() || slot.budget == 0) return nullptr;
+    const ReliableChannel& channel = fleet_.channel(i);
+    const std::uint64_t capacity = channel.capacity();
+    const auto direction = [&](const workload::TraceRecord& record) {
+      return record.write || !channel.journal_live(record.beat % capacity);
+    };
+    const workload::TraceRecord& first = slot.trace[slot.cursor];
+    PlacedRequest& r = slot.request;
+    r.write = direction(first);
+    r.logical = first.beat % capacity;
+    r.count = 1;
+    r.payload_key = slot.cursor;
+    r.deadline_attempts = ~0u;
+    if (!per_op_) {
+      const std::uint64_t limit = std::min<std::uint64_t>(
+          slot.trace.size() - slot.cursor, slot.budget);
+      while (r.count < limit) {
+        const workload::TraceRecord& next = slot.trace[slot.cursor + r.count];
+        if (next.beat % capacity != r.logical + r.count ||
+            direction(next) != r.write) {
+          break;
+        }
+        ++r.count;
+      }
+    }
+    slot.queued = true;
+    return &r;
+  }
+
+  void complete(std::size_t i, const PlacedRequest& request,
+                ServeOutcome /*outcome*/, unsigned /*attempts*/,
+                std::uint64_t /*model_ns*/) override {
+    Slot& slot = slots_[i];
+    slot.cursor += request.count;
+    slot.budget -= request.count;
+    slot.queued = false;
+  }
+
+  bool spend_retry(std::size_t /*slot*/, std::uint32_t /*tenant*/) override {
+    return true;
+  }
+  void end_epoch(telemetry::EpochSample* /*sample*/) override {}
+
+  [[nodiscard]] bool exhausted() const override {
+    for (const Slot& slot : slots_) {
+      if (slot.cursor < slot.trace.size()) return false;
+    }
+    return true;
+  }
+  [[nodiscard]] std::uint64_t epochs_remaining_bound() const override {
+    const std::uint64_t per_epoch = fleet_.config().ops_per_epoch;
+    return (longest_ + per_epoch - 1) / per_epoch;
+  }
+  void fill_health(HealthRegistry* /*health*/) const override {}
+  [[nodiscard]] std::uint64_t fingerprint() const override { return 0; }
+
+  /// The checkpoint seam: the next trace record each slot serves.
+  [[nodiscard]] std::uint64_t cursor(std::size_t i) const {
+    return slots_[i].cursor;
+  }
+  void seek(std::size_t i, std::uint64_t cursor) { slots_[i].cursor = cursor; }
+
+ private:
+  struct Slot {
+    workload::AccessTrace trace;
+    std::uint64_t cursor = 0;  // next record to serve
+    std::uint64_t budget = 0;  // beats left this epoch
+    bool queued = false;       // `request` is cut and not yet complete
+    PlacedRequest request;
+  };
+
+  const ServingFleet& fleet_;
+  const bool per_op_;
+  std::uint64_t longest_ = 0;
+  std::vector<Slot> slots_;
+};
 
 ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
     : board_(board),
@@ -75,33 +201,9 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
     parity_prev_.resize(group_count);
   }
   channels_.reserve(config_.pcs.size());
-  traces_.reserve(config_.pcs.size());
   for (const unsigned pc : config_.pcs) {
     channels_.push_back(
         std::make_unique<ReliableChannel>(board_, pc, config_.channel));
-    if (config_.source != nullptr) {
-      // Request-plane mode: the source's slot queues replace the
-      // built-in op streams entirely.
-      traces_.emplace_back();
-      continue;
-    }
-    traces_.push_back(
-        config_.streaming_passes > 0
-            ? workload::make_streaming(channels_.back()->capacity(),
-                                       config_.streaming_passes)
-            : workload::make_uniform_random(
-                  channels_.back()->capacity(), config_.ops_per_pc,
-                  config_.write_fraction,
-                  stream_seed(config_.seed, 0xF1EE7, pc, 0)));
-  }
-  if (config_.source == nullptr && config_.streaming_passes > 0) {
-    // Keep the epoch bound in run() honest: the streaming trace length
-    // is capacity * passes, not the (ignored) ops_per_pc.
-    std::uint64_t longest = 0;
-    for (const auto& trace : traces_) {
-      longest = std::max<std::uint64_t>(longest, trace.size());
-    }
-    config_.ops_per_pc = longest;
   }
   if (striped()) {
     // Stripe XOR needs every member and parity channel address-congruent.
@@ -117,7 +219,14 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
   states_.resize(config_.pcs.size());
   epoch_prev_.resize(config_.pcs.size());
   health_.reset(config_.pcs.size());
+  source_ = config_.source;
+  if (source_ == nullptr) {
+    trace_ = std::make_unique<TraceSource>(*this);
+    source_ = trace_.get();
+  }
 }
+
+ServingFleet::~ServingFleet() = default;
 
 // ---- Scheme-dispatching op wrappers ----
 
@@ -149,24 +258,24 @@ hbm::Beat ServingFleet::parity_value(std::size_t g,
   return acc;
 }
 
-Status ServingFleet::settle_parity(std::size_t g, PcState& st) {
-  ReliableChannel& parity = *parity_channels_[g];
-  if (!parity.budget().burned() && !parity.escalation_pending()) {
-    return Status::ok();
-  }
-  auto rung = parity.escalate();
+Status ServingFleet::settle(ReliableChannel& ch, PcState& st) {
+  if (!ch.budget().burned() && !ch.escalation_pending()) return Status::ok();
+  auto rung = ch.escalate();
   if (!rung.is_ok()) return rung.status();
-  if (rung.value() != LadderRung::kCorrect) {
-    st.wants_global = true;
-    st.wanted = rung.value();
-  }
+  if (rung.value() != LadderRung::kCorrect) st.park(rung.value());
   return Status::ok();
 }
 
 Status ServingFleet::do_write(std::size_t i, std::uint64_t logical,
-                              const hbm::Beat& data) {
+                              std::uint64_t count, const hbm::Beat* data) {
+  // A single beat takes the per-beat channel path: same effect as a
+  // one-beat range, at a lower fixed cost.
+  const auto write = [&](ReliableChannel& ch, const hbm::Beat* beats) {
+    return count == 1 ? ch.write(logical, beats[0])
+                      : ch.write_range(logical, count, beats);
+  };
   ReliableChannel& member = *channels_[i];
-  Status wrote = member.write(logical, data);
+  Status wrote = write(member, data);
   if (!wrote.is_ok() || !striped()) return wrote;
 
   // Maintain the stripe invariant: parity journal/device hold the XOR of
@@ -175,58 +284,27 @@ Status ServingFleet::do_write(std::size_t i, std::uint64_t logical,
   // only advances on success, and this XOR is a pure function of it.
   const std::size_t g = group_of(i);
   ReliableChannel& parity = *parity_channels_[g];
-  const hbm::Beat pv = parity_value(g, logical);
-  Status ps = parity.write(logical, pv);
-  if (ps.code() == StatusCode::kUnavailable && absorb_device_loss(parity)) {
-    ps = parity.write(logical, pv);  // journal-only now
-  }
-  if (!ps.is_ok()) return ps;
-
-  // Writes landing behind the rebuild cursor must refresh the adopted
-  // silicon too, or the rebuilt device copy goes stale vs the journal.
-  StripeGroup& grp = groups_[g];
-  if (member.device_lost() && grp.rebuilding == i &&
-      logical < grp.rebuild_cursor) {
-    HBMVOLT_RETURN_IF_ERROR(member.rebuild_device_range(logical, 1));
-  }
-  if (parity.device_lost() && grp.rebuilding_parity &&
-      logical < grp.rebuild_cursor) {
-    HBMVOLT_RETURN_IF_ERROR(parity.rebuild_device_range(logical, 1));
-  }
-  return Status::ok();
-}
-
-Status ServingFleet::do_write_range(std::size_t i, std::uint64_t logical,
-                                    std::uint64_t count,
-                                    const hbm::Beat* data) {
-  ReliableChannel& member = *channels_[i];
-  Status wrote = member.write_range(logical, count, data);
-  if (!wrote.is_ok() || !striped()) return wrote;
-
-  const std::size_t g = group_of(i);
-  ReliableChannel& parity = *parity_channels_[g];
   std::vector<hbm::Beat>& pbuf = states_[i].pbuf;
   pbuf.resize(count);
   for (std::uint64_t k = 0; k < count; ++k) {
     pbuf[k] = parity_value(g, logical + k);
   }
-  Status ps = parity.write_range(logical, count, pbuf.data());
+  Status ps = write(parity, pbuf.data());
   if (ps.code() == StatusCode::kUnavailable && absorb_device_loss(parity)) {
-    ps = parity.write_range(logical, count, pbuf.data());
+    ps = write(parity, pbuf.data());  // journal-only now
   }
   if (!ps.is_ok()) return ps;
 
-  StripeGroup& grp = groups_[g];
-  if (member.device_lost() && grp.rebuilding == i &&
-      logical < grp.rebuild_cursor) {
-    const std::uint64_t overlap =
-        std::min(grp.rebuild_cursor, logical + count) - logical;
+  // Writes landing behind the rebuild cursor must refresh the adopted
+  // silicon too, or the rebuilt device copy goes stale vs the journal.
+  const StripeGroup& grp = groups_[g];
+  if (logical >= grp.rebuild_cursor) return Status::ok();
+  const std::uint64_t overlap =
+      std::min(grp.rebuild_cursor, logical + count) - logical;
+  if (member.device_lost() && grp.rebuilding == i) {
     HBMVOLT_RETURN_IF_ERROR(member.rebuild_device_range(logical, overlap));
   }
-  if (parity.device_lost() && grp.rebuilding_parity &&
-      logical < grp.rebuild_cursor) {
-    const std::uint64_t overlap =
-        std::min(grp.rebuild_cursor, logical + count) - logical;
+  if (parity.device_lost() && grp.rebuilding_parity) {
     HBMVOLT_RETURN_IF_ERROR(parity.rebuild_device_range(logical, overlap));
   }
   return Status::ok();
@@ -249,8 +327,7 @@ Result<hbm::Beat> ServingFleet::stripe_fetch(ReliableChannel& ch,
     if (rung.value() != LadderRung::kCorrect) {
       // Park the contributor's global need on the member being served;
       // the op retries after the barrier applies it.
-      st.wants_global = true;
-      st.wanted = rung.value();
+      st.park(rung.value());
       return data_loss("stripe contributor needs a global ladder rung");
     }
   }
@@ -305,8 +382,7 @@ bool ServingFleet::storm_tick_slot(std::size_t i) {
   if (!refreshed.is_ok()) {
     if (refreshed.code() == StatusCode::kUnavailable) {
       if (!absorb_device_loss(channel)) {
-        st.wants_global = true;
-        st.wanted = LadderRung::kPowerCycle;
+        st.park(LadderRung::kPowerCycle);
         return false;
       }
       // Whole-PC death: nothing left to refresh; keep serving through
@@ -323,191 +399,16 @@ bool ServingFleet::storm_tick_slot(std::size_t i) {
       return false;
     }
     if (rung.value() != LadderRung::kCorrect) {
-      st.wants_global = true;
-      st.wanted = rung.value();
+      st.park(rung.value());
       return false;
     }
   }
   return true;
 }
 
-void ServingFleet::serve_pc_epoch(std::size_t i) {
-  ReliableChannel& channel = *channels_[i];
-  const workload::AccessTrace& trace = traces_[i];
-  const unsigned pc = config_.pcs[i];
-  PcState& st = states_[i];
-  st.wants_global = false;
-  st.wanted = LadderRung::kCorrect;
-  const std::uint64_t data_seed = mix_seed(config_.seed, 0xDA7A);
-
-  std::uint64_t served = 0;
-  while (st.cursor < trace.size() && served < config_.ops_per_epoch) {
-    if (!storm_tick_slot(i)) return;
-    const workload::TraceRecord& record = trace[st.cursor];
-    const std::uint64_t logical = record.beat % channel.capacity();
-    const bool write_op = record.write || !channel.journal_live(logical);
-
-    // Coalesce a maximal run of consecutive-beat, same-direction records
-    // into one bulk call -- the range fast path.  A storm hook pins the
-    // loop to per-op granularity (the hook must fire before every op),
-    // and a bulk call that hits the ladder falls back to the per-op
-    // machinery below without consuming the cursor.
-    if (!config_.storm_hook) {
-      const std::uint64_t run_budget =
-          std::min<std::uint64_t>(trace.size() - st.cursor,
-                                  config_.ops_per_epoch - served);
-      std::uint64_t n = 1;
-      while (n < run_budget) {
-        const workload::TraceRecord& r2 = trace[st.cursor + n];
-        const std::uint64_t l2 = r2.beat % channel.capacity();
-        if (l2 != logical + n) break;
-        const bool w2 = r2.write || !channel.journal_live(l2);
-        if (w2 != write_op) break;
-        ++n;
-      }
-      if (n >= 2) {
-        Status st_bulk = Status::ok();
-        if (write_op) {
-          st.beats.resize(n);
-          for (std::uint64_t k = 0; k < n; ++k) {
-            st.beats[k] = make_payload(data_seed, pc, st.cursor + k);
-          }
-          st_bulk = do_write_range(i, logical, n, st.beats.data());
-          if (st_bulk.is_ok()) st.report.writes += n;
-        } else {
-          st.beats.resize(n);
-          st_bulk = channel.read_range(logical, n, st.beats.data());
-          if (st_bulk.is_ok()) {
-            for (std::uint64_t k = 0; k < n; ++k) {
-              if (st.beats[k] != channel.journal_beat(logical + k)) {
-                ++st.report.corrupt_reads;
-              }
-            }
-            st.report.reads += n;
-          }
-        }
-        if (st_bulk.is_ok()) {
-          st.report.ops += n;
-          st.cursor += n;
-          served += n;
-          st.attempts = 0;
-          if (channel.budget().burned() || channel.escalation_pending()) {
-            auto rung = channel.escalate();
-            if (!rung.is_ok()) {
-              st.status = rung.status();
-              return;
-            }
-            if (rung.value() != LadderRung::kCorrect) {
-              st.wants_global = true;
-              st.wanted = rung.value();
-              return;
-            }
-          }
-          if (striped()) {
-            const Status settled = settle_parity(group_of(i), st);
-            if (!settled.is_ok()) {
-              st.status = settled;
-              return;
-            }
-            if (st.wants_global) return;
-          }
-          continue;
-        }
-        if (st_bulk.code() != StatusCode::kDataLoss &&
-            st_bulk.code() != StatusCode::kUnavailable) {
-          st.status = st_bulk;
-          return;
-        }
-        // Fall through: the per-op path re-serves the run from its start
-        // and applies the usual escalate-and-retry handling.
-      }
-    }
-
-    if (write_op) {
-      const Status wrote =
-          do_write(i, logical, make_payload(data_seed, pc, st.cursor));
-      if (!wrote.is_ok()) {
-        if (st.wants_global) return;  // parked by a stripe contributor
-        if (wrote.code() == StatusCode::kUnavailable) {
-          // Whole-PC death is absorbed locally (journal/stripe serving);
-          // a crashed stack requests rung 3 and ends the epoch -- the op
-          // is retried after the barrier's power-cycle + restore.
-          if (absorb_device_loss(channel)) continue;
-          ++st.attempts;
-          st.wants_global = true;
-          st.wanted = LadderRung::kPowerCycle;
-          return;
-        }
-        st.status = wrote;
-        return;
-      }
-      ++st.report.writes;
-    } else {
-      auto got = do_read(i, logical);
-      if (!got.is_ok()) {
-        if (++st.attempts > 64) {
-          st.status = got.status();
-          return;
-        }
-        if (st.wants_global) return;  // parked by a stripe contributor
-        if (got.status().code() == StatusCode::kUnavailable) {
-          if (absorb_device_loss(channel)) continue;
-          st.wants_global = true;
-          st.wanted = LadderRung::kPowerCycle;
-          return;
-        }
-        if (got.status().code() != StatusCode::kDataLoss) {
-          st.status = got.status();
-          return;
-        }
-        auto rung = channel.escalate();
-        if (!rung.is_ok()) {
-          st.status = rung.status();
-          return;
-        }
-        if (rung.value() == LadderRung::kCorrect) continue;  // retry now
-        st.wants_global = true;
-        st.wanted = rung.value();
-        return;  // retried after the barrier applies the global rung
-      }
-      if (got.value() != channel.journal_beat(logical)) {
-        ++st.report.corrupt_reads;
-      }
-      ++st.report.reads;
-      if (st.attempts > 0) ++st.report.escalated_reads;
-    }
-    ++st.report.ops;
-    ++st.cursor;
-    ++served;
-    st.attempts = 0;
-
-    // Consume a burned budget between ops, before a read trips on it.
-    if (channel.budget().burned() || channel.escalation_pending()) {
-      auto rung = channel.escalate();
-      if (!rung.is_ok()) {
-        st.status = rung.status();
-        return;
-      }
-      if (rung.value() != LadderRung::kCorrect) {
-        st.wants_global = true;
-        st.wanted = rung.value();
-        return;
-      }
-    }
-    if (striped() && write_op) {
-      const Status settled = settle_parity(group_of(i), st);
-      if (!settled.is_ok()) {
-        st.status = settled;
-        return;
-      }
-      if (st.wants_global) return;
-    }
-  }
-}
-
 void ServingFleet::serve_pc_source_epoch(std::size_t i) {
   ReliableChannel& channel = *channels_[i];
-  RequestSource& source = *config_.source;
+  RequestSource& source = *source_;
   const unsigned pc = config_.pcs[i];
   PcState& st = states_[i];
   st.wants_global = false;
@@ -539,39 +440,41 @@ void ServingFleet::serve_pc_source_epoch(std::size_t i) {
     bool deadline_hedge = false;  // blown deadline: rest served from journal
     bool dropped = false;
     bool wrote_any = false;
+    bool coalesce = true;  // false = next write is a single beat
 
     std::uint64_t k = 0;
     while (k < r.count) {
       const std::uint64_t logical = r.logical + k;
       const bool write_op = r.write || !channel.journal_live(logical);
       if (write_op) {
-        // Coalesce the maximal write run; payloads are pure in
-        // (tenant, beat) so a re-served request rewrites identical data.
+        // Coalesce the maximal write run; payloads are pure in the
+        // request's payload key, so a re-served request rewrites
+        // identical data.
         std::uint64_t n = 1;
-        while (k + n < r.count &&
+        while (coalesce && k + n < r.count &&
                (r.write || !channel.journal_live(r.logical + k + n))) {
           ++n;
         }
         st.beats.resize(n);
         for (std::uint64_t j = 0; j < n; ++j) {
-          st.beats[j] = make_payload(
-              data_seed, pc,
-              (static_cast<std::uint64_t>(r.tenant) << 40) ^ (logical + j));
+          st.beats[j] = make_payload(data_seed, pc, r.payload_key + k + j);
         }
-        const Status wrote =
-            n >= 2 ? do_write_range(i, logical, n, st.beats.data())
-                   : do_write(i, logical, st.beats[0]);
+        const Status wrote = do_write(i, logical, n, st.beats.data());
         if (!wrote.is_ok()) {
           if (st.wants_global) return;  // parked by a stripe contributor
           if (wrote.code() == StatusCode::kUnavailable) {
             if (absorb_device_loss(channel)) continue;  // journal-only now
-            st.wants_global = true;
-            st.wanted = LadderRung::kPowerCycle;
+            st.park(LadderRung::kPowerCycle);
             return;
+          }
+          if (n >= 2 && wrote.code() == StatusCode::kDataLoss) {
+            coalesce = false;  // re-serve the run beat by beat
+            continue;
           }
           st.status = wrote;
           return;
         }
+        coalesce = true;
         st.report.writes += n;
         wrote_any = true;
         model_ns += n * (channel.device_lost() ? kModelJournalNs
@@ -603,8 +506,9 @@ void ServingFleet::serve_pc_source_epoch(std::size_t i) {
         continue;
       }
 
-      // Bulk read fast path, same guards as trace mode (per-op machinery
-      // below re-serves the run on any ladder interaction).
+      // Bulk read fast path.  A storm hook needs per-beat ticks, and a
+      // lost device reads per beat so stripe members reconstruct; the
+      // per-beat path below re-serves the run on any ladder interaction.
       if (!config_.storm_hook && !channel.device_lost() && k + 1 < r.count) {
         std::uint64_t n = 1;
         while (k + n < r.count && channel.journal_live(r.logical + k + n)) {
@@ -637,14 +541,16 @@ void ServingFleet::serve_pc_source_epoch(std::size_t i) {
 
       auto got = do_read(i, logical);
       if (!got.is_ok()) {
-        if (st.wants_global) {
-          ++st.attempts;
-          return;  // re-served after the barrier applies the rung
+        if (++st.attempts > kMaxReadAttempts) {
+          st.status = got.status();
+          return;
         }
+        // Parked by a stripe contributor: re-served after the barrier
+        // applies the rung.
+        if (st.wants_global) return;
         if (got.status().code() == StatusCode::kUnavailable) {
           if (absorb_device_loss(channel)) continue;  // journal/stripe next
-          st.wants_global = true;
-          st.wanted = LadderRung::kPowerCycle;
+          st.park(LadderRung::kPowerCycle);
           return;
         }
         if (got.status().code() != StatusCode::kDataLoss) {
@@ -656,7 +562,6 @@ void ServingFleet::serve_pc_source_epoch(std::size_t i) {
           st.status = rung.status();
           return;
         }
-        ++st.attempts;
         model_ns += kModelEscalateNs;
         const bool over_deadline = st.attempts > r.deadline_attempts;
         const bool budget_left = source.spend_retry(i, r.tenant);
@@ -672,8 +577,7 @@ void ServingFleet::serve_pc_source_epoch(std::size_t i) {
           break;
         }
         if (rung.value() != LadderRung::kCorrect) {
-          st.wants_global = true;
-          st.wanted = rung.value();
+          st.park(rung.value());
           return;
         }
         continue;  // local correction: retry the same beat now
@@ -706,37 +610,19 @@ void ServingFleet::serve_pc_source_epoch(std::size_t i) {
 
     // Consume a burned budget between requests, before a read trips on
     // it; striped writes also settle the parity channel's ladder.
-    if (channel.budget().burned() || channel.escalation_pending()) {
-      auto rung = channel.escalate();
-      if (!rung.is_ok()) {
-        st.status = rung.status();
-        return;
-      }
-      if (rung.value() != LadderRung::kCorrect) {
-        st.wants_global = true;
-        st.wanted = rung.value();
-        return;
-      }
+    Status settled = settle(channel, st);
+    if (settled.is_ok() && !st.wants_global && striped() && wrote_any) {
+      settled = settle(*parity_channels_[group_of(i)], st);
     }
-    if (striped() && wrote_any) {
-      const Status settled = settle_parity(group_of(i), st);
-      if (!settled.is_ok()) {
-        st.status = settled;
-        return;
-      }
-      if (st.wants_global) return;
-    }
+    if (!settled.is_ok()) st.status = settled;
+    if (!settled.is_ok() || st.wants_global) return;
   }
 }
 
 void ServingFleet::serve_group_epoch(std::size_t g) {
   const std::size_t base = g * config_.stripe_width;
   for (std::size_t s = base; s < base + config_.stripe_width; ++s) {
-    if (config_.source != nullptr) {
-      serve_pc_source_epoch(s);
-    } else {
-      serve_pc_epoch(s);
-    }
+    serve_pc_source_epoch(s);
   }
   rebuild_step(g);
 }
@@ -893,13 +779,11 @@ void ServingFleet::close_epoch(std::uint64_t epoch) {
     parity_prev_[g] = now;
   }
   sample.budget_burn = burn_max;
-  if (config_.source != nullptr) {
-    // Fold the plane's slot-local accounting (serial, slot order) and let
-    // it fill the sample's admitted/shed deltas plus the tenant health
-    // rows before the alert tick and the dashboard hook see either.
-    config_.source->end_epoch(&sample);
-    config_.source->fill_health(&health_);
-  }
+  // Fold the source's slot-local accounting (serial, slot order) and let
+  // it fill the sample's admitted/shed deltas plus any tenant health rows
+  // before the alert tick and the dashboard hook see either.
+  source_->end_epoch(&sample);
+  source_->fill_health(&health_);
   alerts_.tick(sample);
   for (auto& channel : channels_) channel->flush_telemetry();
   for (auto& parity : parity_channels_) parity->flush_telemetry();
@@ -919,33 +803,18 @@ Result<FleetReport> ServingFleet::run() {
     pool = std::make_unique<core::ThreadPool>(config_.threads);
   }
 
-  // Epochs bound: the trace (or queued-demand) epochs plus a generous
-  // allowance for escalation-interrupted ones (each of those makes ladder
-  // progress) and for post-trace rebuild epochs.
-  const std::uint64_t trace_epochs =
-      config_.source != nullptr
-          ? config_.source->epochs_remaining_bound()
-          : (config_.ops_per_pc + config_.ops_per_epoch - 1) /
-                config_.ops_per_epoch;
-  std::uint64_t max_epochs = trace_epochs + 4096;
+  // Epochs bound: the source's demand epochs plus a generous allowance
+  // for escalation-interrupted ones (each of those makes ladder progress)
+  // and for post-demand rebuild epochs.
+  std::uint64_t max_epochs = source_->epochs_remaining_bound() + 4096;
   if (striped() && !channels_.empty()) {
     max_epochs +=
         channels_[0]->capacity() / config_.rebuild_beats_per_epoch + 1;
   }
 
   for (;;) {
-    bool all_done = true;
-    if (config_.source != nullptr) {
-      all_done = config_.source->exhausted();
-    } else {
-      for (std::size_t i = 0; i < states_.size(); ++i) {
-        if (states_[i].cursor < traces_[i].size()) {
-          all_done = false;
-          break;
-        }
-      }
-    }
-    // A rebuild in flight keeps the fleet ticking after the traces end:
+    bool all_done = source_->exhausted();
+    // A rebuild in flight keeps the fleet ticking after the demand ends:
     // the group workers drain it with no foreground ops in the way.
     for (const StripeGroup& grp : groups_) {
       if (grp.rebuilding != StripeGroup::kIdle || grp.rebuilding_parity) {
@@ -957,25 +826,18 @@ Result<FleetReport> ServingFleet::run() {
       return unavailable("fleet ladder failed to converge");
     }
     ++report.epochs;
-    if (config_.source != nullptr) {
-      // Serial admission: quotas refill, brownout policy updates from the
-      // barrier-time fleet state, and this epoch's requests land on slot
-      // queues before any worker runs.
-      config_.source->begin_epoch(*this, report.epochs);
-    }
+    // Serial admission: quotas refill, brownout policy updates from the
+    // barrier-time fleet state, and this epoch's requests land on slot
+    // queues before any worker runs.
+    source_->begin_epoch(*this, report.epochs);
 
     if (striped()) {
       core::parallel_for_each(pool.get(), groups_.size(),
                               [this](std::size_t g) { serve_group_epoch(g); });
     } else {
-      core::parallel_for_each(pool.get(), states_.size(),
-                              [this](std::size_t i) {
-                                if (config_.source != nullptr) {
-                                  serve_pc_source_epoch(i);
-                                } else {
-                                  serve_pc_epoch(i);
-                                }
-                              });
+      core::parallel_for_each(
+          pool.get(), states_.size(),
+          [this](std::size_t i) { serve_pc_source_epoch(i); });
     }
 
     // Serial aggregation and global ladder actions, in PC index order.
@@ -1161,8 +1023,11 @@ FleetCheckpoint ServingFleet::checkpoint() const {
   ck.slots.resize(states_.size());
   ck.channels.resize(channels_.size());
   for (std::size_t i = 0; i < states_.size(); ++i) {
-    ck.slots[i] = {states_[i].cursor, states_[i].storm_next,
-                   states_[i].attempts, states_[i].report};
+    // Built-in traffic resumes from its record cursor; with a storm hook
+    // that equals the request tick.
+    ck.slots[i] = {trace_ ? trace_->cursor(i) : states_[i].cursor,
+                   states_[i].storm_next, states_[i].attempts,
+                   states_[i].report};
     channels_[i]->capture(&ck.channels[i]);
   }
   ck.parity.resize(parity_channels_.size());
@@ -1214,6 +1079,7 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     channels_[i]->restore(ck.channels[i]);
     states_[i].cursor = ck.slots[i].cursor;
+    if (trace_) trace_->seek(i, ck.slots[i].cursor);
     states_[i].storm_next = ck.slots[i].storm_next;
     states_[i].attempts = ck.slots[i].attempts;
     states_[i].report = ck.slots[i].report;

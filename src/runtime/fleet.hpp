@@ -1,15 +1,18 @@
 // ServingFleet: epoch-based parallel serving over many ReliableChannels,
 // under a pluggable mitigation scheme (mitigate/scheme.hpp).
 //
-// One ReliableChannel per pseudo-channel, one deterministic op stream per
-// PC (workload::make_uniform_random over a counter-derived seed), served
-// in epochs over the PR-1 thread pool.  The determinism discipline is the
-// repo's usual one:
+// One ReliableChannel per pseudo-channel, served in epochs over the
+// core::ThreadPool by ONE worker loop that drains a RequestSource: either
+// an external one (FleetConfig::source, e.g. the multi-tenant
+// serve::RequestPlane) or the fleet's built-in TraceSource, which turns
+// one deterministic op stream per PC (uniform random over a
+// counter-derived seed, or streaming sweeps) into coalesced requests.
+// The determinism discipline is the repo's usual one:
 //
-//  * workers own disjoint per-PC state (channel, trace cursor, report
-//    slot) and never mutate anything global -- a worker that needs a
-//    global ladder rung (raise voltage / power-cycle) *requests* it and
-//    ends its epoch early;
+//  * workers own disjoint per-PC state (channel, request tick, source
+//    slot, report slot) and never mutate anything global -- a worker
+//    that needs a global ladder rung (raise voltage / power-cycle)
+//    *requests* it and ends its epoch early;
 //  * global actions are applied serially between epochs, in PC index
 //    order, at most one voltage raise (or one power-cycle + restore) per
 //    barrier;
@@ -34,9 +37,10 @@
 // redundancy left.
 //
 // Chaos fault storms plug in through `storm_hook`, called once per
-// (PC, op tick) on the worker -- wire it to ChaosInjector::storm_tick,
-// whose decisions are pure in (seed, pc, tick) and whose mutations are
-// PC-local, preserving both thread-safety and reproducibility.
+// (PC, request tick) on the worker -- wire it to
+// ChaosInjector::storm_tick, whose decisions are pure in (seed, pc, tick)
+// and whose mutations are PC-local, preserving both thread-safety and
+// reproducibility.
 
 #pragma once
 
@@ -52,7 +56,6 @@
 #include "runtime/health.hpp"
 #include "runtime/reliable_channel.hpp"
 #include "telemetry/alerts.hpp"
-#include "workload/trace.hpp"
 
 namespace hbmvolt::runtime {
 
@@ -60,13 +63,15 @@ class ServingFleet;
 
 // ---- Request plane seam ----
 //
-// A RequestSource replaces the fleet's built-in per-PC op streams with an
-// externally owned queue of placed requests (src/serve/plane.hpp is the
-// multi-tenant implementation).  The determinism split mirrors the rest
-// of the fleet: the serial hooks (begin_epoch / end_epoch / fill_health)
-// run only at the barrier and may see global state; the worker hooks
-// (front / complete / spend_retry) are called from the fan-out and must
-// touch only slot-local state for the slot they are handed.
+// A RequestSource hands the worker loop its placed requests, slot by
+// slot: the fleet's built-in TraceSource (fleet.cpp) when
+// FleetConfig::source is null, or an external queue (src/serve/plane.hpp
+// is the multi-tenant implementation).  The determinism split mirrors
+// the rest of the fleet: the serial hooks (begin_epoch / end_epoch /
+// fill_health) run only at the barrier and may see global state; the
+// worker hooks (front / complete / spend_retry) are called from the
+// fan-out and must touch only slot-local state for the slot they are
+// handed.
 
 /// Deterministic service-time model, in "model nanoseconds": every path a
 /// request can take has a fixed per-beat cost, so per-tenant latency
@@ -104,6 +109,10 @@ struct PlacedRequest {
   bool hedge = false;
   std::uint64_t logical = 0;
   std::uint64_t count = 1;
+  /// Beat j of a written run carries make_payload(data_seed, pc,
+  /// payload_key + j): pure in the request, so a re-served request
+  /// rewrites identical data.
+  std::uint64_t payload_key = 0;
   /// Escalation rounds before the deadline is considered blown.
   unsigned deadline_attempts = 4;
 };
@@ -175,9 +184,10 @@ struct FleetConfig {
   /// running to completion; 0 = run to the end.  The checkpoint seam:
   /// halt, checkpoint(), restore() on a fresh board, run() again.
   std::uint64_t halt_after_epochs = 0;
-  /// Total foreground ops per PC.
+  /// Total foreground ops per PC (built-in traffic).
   std::uint64_t ops_per_pc = 1 << 14;
-  /// Ops per PC between global barriers.
+  /// Beats served per slot between global barriers, whichever source
+  /// feeds the loop.
   std::uint64_t ops_per_epoch = 1024;
   double write_fraction = 0.25;
   /// 0 = uniform-random traffic (ops_per_pc / write_fraction above).
@@ -189,12 +199,14 @@ struct FleetConfig {
   std::uint64_t seed = 1;
   /// Worker threads (1 = serial reference path, 0 = hardware count).
   unsigned threads = 1;
-  /// Optional fault-storm hook, called once per (pc_global, op tick)
-  /// before that op is served.  Must be PC-local in its mutations (see
-  /// ChaosInjector::storm_tick).  A true return means a fault event
-  /// fired on this PC; the fleet responds with an alarm-driven journal
-  /// refresh (see ReliableChannel::refresh_from_journal) -- the model
-  /// for a droop detector or RAS interrupt in a real deployment.
+  /// Optional fault-storm hook, called once per (pc_global, request
+  /// tick) before that request is served; built-in traffic then cuts
+  /// one op per request, so the tick is the op index.  Must be PC-local
+  /// in its mutations (see ChaosInjector::storm_tick).  A true return
+  /// means a fault event fired on this PC; the fleet responds with an
+  /// alarm-driven journal refresh (see
+  /// ReliableChannel::refresh_from_journal) -- the model for a droop
+  /// detector or RAS interrupt in a real deployment.
   std::function<bool(unsigned pc_global, std::uint64_t tick)> storm_hook;
   /// Burn-rate alert rules evaluated at every barrier (empty = defaults
   /// derived from the channel budget: a corrected-rate rule at the budget
@@ -207,13 +219,14 @@ struct FleetConfig {
   /// (examples/resilient_serving renders it under HBMVOLT_SOAK_DASHBOARD).
   /// Must not touch the board or the channels.
   std::function<void(const EpochStatus&)> epoch_hook;
-  /// Optional request plane (borrowed; must outlive the fleet).  When
-  /// set, the built-in per-PC op streams are replaced by the source's
-  /// placed-request queues: begin_epoch admits work at every barrier,
-  /// workers drain their slot queues, and end_epoch folds the per-tenant
-  /// accounting.  ops_per_epoch then bounds *beats served per slot per
-  /// epoch*; ops_per_pc / write_fraction / streaming_passes are ignored.
-  /// Incompatible with the checkpoint seam (a source is not captured).
+  /// Optional external request source (borrowed; must outlive the fleet).
+  /// Null = the fleet serves its built-in traffic (ops_per_pc /
+  /// write_fraction / streaming_passes) through its own TraceSource.
+  /// Either way the same worker loop drains the source: begin_epoch
+  /// admits work at every barrier, workers drain their slot queues, and
+  /// end_epoch folds the per-tenant accounting.  An external source
+  /// ignores the built-in traffic knobs and is incompatible with the
+  /// checkpoint seam (it is not captured).
   RequestSource* source = nullptr;
 };
 
@@ -284,8 +297,13 @@ struct FleetCheckpoint {
 class ServingFleet {
  public:
   ServingFleet(board::Vcu128Board& board, FleetConfig config);
+  ~ServingFleet();
+  // The built-in TraceSource keeps a reference to its fleet.
+  ServingFleet(const ServingFleet&) = delete;
+  ServingFleet& operator=(const ServingFleet&) = delete;
 
-  /// Serves every PC's full op stream; returns the aggregated report.
+  /// Serves the source's demand to completion (built-in traffic: every
+  /// PC's full op stream); returns the aggregated report.
   /// With halt_after_epochs set, may instead return early with
   /// report.halted -- call run() again (or checkpoint/restore first) to
   /// continue; progress accumulates across calls.
@@ -333,13 +351,18 @@ class ServingFleet {
  private:
   /// Per-PC worker state; owned by exactly one index during a fan-out.
   struct PcState {
-    std::uint64_t cursor = 0;      // next trace record to serve
+    std::uint64_t cursor = 0;      // request tick (storm-hook clock)
     std::uint64_t storm_next = 0;  // first tick not yet storm-ticked
-    unsigned attempts = 0;         // escalation rounds on the current op
+    unsigned attempts = 0;         // failed tries on the current request
     ServeReport report;
     Status status = Status::ok();
     bool wants_global = false;
     LadderRung wanted = LadderRung::kCorrect;
+    /// Requests a global rung; the epoch ends and the barrier applies it.
+    void park(LadderRung rung) {
+      wants_global = true;
+      wanted = rung;
+    }
     /// Payload/read buffer for coalesced bulk runs (high-water reuse).
     std::vector<hbm::Beat> beats;
     /// Parity scratch for bulk stripe writes (distinct from `beats`,
@@ -367,12 +390,13 @@ class ServingFleet {
     return slot / config_.stripe_width;
   }
 
-  void serve_pc_epoch(std::size_t i);
-  /// Request-plane worker: drains slot i's queue from config_.source
-  /// instead of the built-in trace (same parking / escalation discipline
-  /// as serve_pc_epoch, plus the deadline / hedge / stale QoS paths).
+  class TraceSource;
+
+  /// The worker loop: drains slot i's requests from source_ for one
+  /// epoch -- coalesced range runs, escalate-and-park, parity settling,
+  /// and the deadline / hedge / stale QoS paths.
   void serve_pc_source_epoch(std::size_t i);
-  /// Runs the storm hook for slot i at its current op tick (at most
+  /// Runs the storm hook for slot i at its current request tick (at most
   /// once), including the alarm-driven journal refresh.  False = the
   /// epoch must end (a global rung was parked or an error recorded).
   bool storm_tick_slot(std::size_t i);
@@ -380,12 +404,11 @@ class ServingFleet {
   /// this epoch's rebuild step.
   void serve_group_epoch(std::size_t g);
 
-  /// Scheme-dispatching op wrappers used by serve_pc_epoch.  In stripe
+  /// Scheme-dispatching op wrappers used by the worker loop.  In stripe
   /// mode writes also maintain the group parity and reads of a lost
   /// device reconstruct from peers.
-  Status do_write(std::size_t i, std::uint64_t logical, const hbm::Beat& data);
-  Status do_write_range(std::size_t i, std::uint64_t logical,
-                        std::uint64_t count, const hbm::Beat* data);
+  Status do_write(std::size_t i, std::uint64_t logical, std::uint64_t count,
+                  const hbm::Beat* data);
   Result<hbm::Beat> do_read(std::size_t i, std::uint64_t logical);
 
   /// XOR of the live member journals at `logical` -- the parity value the
@@ -398,9 +421,9 @@ class ServingFleet {
   /// parked on the *member's* state (slot `i`).
   Result<hbm::Beat> stripe_fetch(ReliableChannel& ch, std::uint64_t logical,
                                  PcState& st);
-  /// After parity traffic: consume the parity channel's burned budget /
-  /// pending escalation, parking global needs on slot `i`'s state.
-  Status settle_parity(std::size_t g, PcState& st);
+  /// Consumes `ch`'s burned budget / pending escalation, parking a global
+  /// rung on `st` (the slot being served).
+  static Status settle(ReliableChannel& ch, PcState& st);
 
   /// If `ch`'s silicon was chaos-killed, flip it device-lost and return
   /// true (the op retries against the journal/stripe path) -- the prompt
@@ -420,7 +443,10 @@ class ServingFleet {
   board::Vcu128Board& board_;
   FleetConfig config_;
   std::vector<std::unique_ptr<ReliableChannel>> channels_;
-  std::vector<workload::AccessTrace> traces_;
+  /// Built-in traffic, owned when config_.source is null.
+  std::unique_ptr<TraceSource> trace_;
+  /// What the workers drain: config_.source, or trace_.
+  RequestSource* source_ = nullptr;
   std::vector<PcState> states_;
   std::vector<ChannelStats> epoch_prev_;  // stats at the previous barrier
   // Stripe state (empty unless kStripe).

@@ -1143,6 +1143,8 @@ Status ReliableChannel::apply_ladder_serial() {
   switch (rung.value()) {
     case LadderRung::kCorrect:
     case LadderRung::kRetire:
+    // Fleet-only rung (stripe spare adoption); escalate() never returns it.
+    case LadderRung::kStripeRebuild:
       return Status::ok();
     case LadderRung::kRaiseVoltage: {
       const Millivolts nominal =

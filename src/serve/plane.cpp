@@ -206,6 +206,9 @@ void RequestPlane::begin_epoch(const runtime::ServingFleet& fleet,
                         chunk_ +
                     first.beat % chunk_;
       req.count = run;
+      // Tenant-keyed payloads: distinct per tenant while slot capacity
+      // stays below 2^40 beats.
+      req.payload_key = (static_cast<std::uint64_t>(t) << 40) + req.logical;
       req.deadline_attempts = std::min<unsigned>(spec.deadline_attempts,
                                                  config_.retry.max_attempts);
       Candidate cand;

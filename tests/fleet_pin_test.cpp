@@ -8,7 +8,8 @@
 // invariance) still holds.  The cases cover the loop's distinct paths:
 //
 //  (a) SECDED uniform traffic under a chaos fault storm (per-op ticks);
-//  (b) stripe streaming sweeps with no hook (coalesced runs, epoch cap);
+//  (b) stripe streaming sweeps with no hook (coalesced runs, epoch cap),
+//      also resumed from a mid-run checkpoint;
 //  (c) stripe with a whole-PC kill (reconstruction and online rebuild);
 //  (d) DECTED uniform traffic deep in fault territory, no hook;
 //  (e) a forced stack crash (power cycle and journal restore);
@@ -116,15 +117,44 @@ TEST(FleetPinTest, SecdedUniformUnderChaosStorm) {
       {276763444933304876u, 14166945586119816096u, 0, 0, 0, 950});
 }
 
-TEST(FleetPinTest, StripeStreamingCoalescesUnderTheEpochCap) {
-  board::Vcu128Board board(tiny_board());
-  ASSERT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
+runtime::FleetConfig streaming_stripe() {
   runtime::FleetConfig config = stripe_fleet(0);
   config.pcs = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   config.streaming_passes = 2;
   config.ops_per_epoch = 20;  // cuts sweeps mid-run
-  expect_pin(run_fleet(board, config),
-      {16223677204151181198u, 1938609861518411330u, 0, 0, 0, 950});
+  return config;
+}
+
+constexpr Pin kStreamingStripePin = {16223677204151181198u,
+                                     1938609861518411330u, 0, 0, 0, 950};
+
+TEST(FleetPinTest, StripeStreamingCoalescesUnderTheEpochCap) {
+  board::Vcu128Board board(tiny_board());
+  ASSERT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
+  expect_pin(run_fleet(board, streaming_stripe()), kStreamingStripePin);
+}
+
+TEST(FleetPinTest, StripeStreamingResumesFromCheckpoint) {
+  // Without a storm hook a request is a whole coalesced run, so the
+  // checkpoint must carry the trace record cursor, not the request tick.
+  runtime::FleetCheckpoint ck;
+  {
+    board::Vcu128Board board(tiny_board());
+    ASSERT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
+    runtime::FleetConfig config = streaming_stripe();
+    config.halt_after_epochs = 3;
+    runtime::ServingFleet fleet(board, config);
+    auto halted = fleet.run();
+    ASSERT_TRUE(halted.is_ok()) << halted.status().to_string();
+    ASSERT_TRUE(halted.value().halted);
+    ck = fleet.checkpoint();
+  }
+  board::Vcu128Board board(tiny_board());
+  runtime::ServingFleet fleet(board, streaming_stripe());
+  ASSERT_TRUE(fleet.restore(ck).is_ok());
+  auto resumed = fleet.run();
+  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+  expect_pin(resumed.value(), kStreamingStripePin);
 }
 
 TEST(FleetPinTest, StripeSurvivesPcKillWithRebuild) {

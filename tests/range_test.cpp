@@ -565,6 +565,63 @@ TEST(ReliableRangeTest, ServeTraceStreamingEquivalence) {
   }
 }
 
+TEST(ReliableRangeTest, OneSlotFleetMatchesSerialReference) {
+  // The fleet's built-in traffic on one slot and the serial per-op driver
+  // serve the identical op stream: the same trace, payload keys (record
+  // index) and data seed.  Coalescing and epoch barriers change the
+  // mechanism and the scrub cadence, not the delivered bytes -- including
+  // at 930 mV, where both sides climb the ladder.
+  for (const int mv : {1200, 950, 930}) {
+    for (const unsigned pc : {0u, kWeakPc}) {
+      for (const unsigned passes : {0u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << mv << " mV, PC " << pc
+                                          << ", streaming passes "
+                                          << passes);
+        FleetConfig config;
+        config.pcs = {pc};
+        config.ops_per_pc = 4096;
+        config.ops_per_epoch = 512;
+        config.streaming_passes = passes;
+        config.channel.spare_fraction = 0.25;
+        board::Vcu128Board fleet_board(tiny_board());
+        ASSERT_TRUE(fleet_board.set_hbm_voltage(Millivolts{mv}).is_ok());
+        ServingFleet fleet(fleet_board, config);
+        auto fleet_report = fleet.run();
+        ASSERT_TRUE(fleet_report.is_ok())
+            << fleet_report.status().to_string();
+        const ReliableChannel& served = fleet.channel(0);
+
+        board::Vcu128Board serial_board(tiny_board());
+        ASSERT_TRUE(serial_board.set_hbm_voltage(Millivolts{mv}).is_ok());
+        ReliableChannel serial(serial_board, pc, config.channel);
+        const std::uint64_t cap = serial.capacity();
+        const workload::AccessTrace trace =
+            passes > 0 ? workload::make_streaming(cap, passes)
+                       : workload::make_uniform_random(
+                             cap, config.ops_per_pc, config.write_fraction,
+                             stream_seed(config.seed, 0xF1EE7, pc, 0));
+        const std::uint64_t data_seed = mix_seed(config.seed, 0xDA7A);
+        auto serial_report = serial.serve(trace, data_seed);
+        ASSERT_TRUE(serial_report.is_ok())
+            << serial_report.status().to_string();
+
+        EXPECT_EQ(fleet_report.value().ops, serial_report.value().ops);
+        EXPECT_EQ(fleet_report.value().reads, serial_report.value().reads);
+        EXPECT_EQ(fleet_report.value().writes, serial_report.value().writes);
+        EXPECT_EQ(fleet_report.value().corrupt_reads, 0u);
+        EXPECT_EQ(serial_report.value().corrupt_reads, 0u);
+        ASSERT_EQ(served.capacity(), cap);
+        for (std::uint64_t l = 0; l < cap; ++l) {
+          ASSERT_EQ(served.journal_live(l), serial.journal_live(l)) << l;
+          if (serial.journal_live(l)) {
+            ASSERT_EQ(served.journal_beat(l), serial.journal_beat(l)) << l;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ReliableRangeTest, FleetFingerprintAcrossEnginesAndThreads) {
   const auto run_fleet = [](ChannelEngine engine, unsigned threads) {
     board::Vcu128Board board(tiny_board());

@@ -8,8 +8,10 @@
 //
 //   raw       write/read straight at the stack -- whatever the overlay
 //             corrupts is delivered to the caller;
-//   reliable  through ReliableChannel -- SECDED + patrol scrub + error
-//             budget + the degradation ladder.
+//   reliable  through a one-slot ServingFleet, the library's serving
+//             loop -- ReliableChannel's SECDED + patrol scrub + error
+//             budget + the degradation ladder, global rungs applied at
+//             the fleet's epoch barrier.
 //
 // Reported per voltage: throughput for both paths (the runtime's ops/s
 // price), the raw corrupted-read fraction, the runtime's corrected-word
@@ -21,7 +23,9 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "runtime/reliable_channel.hpp"
+#include "common/rng.hpp"
+#include "runtime/fleet.hpp"
+#include "workload/trace.hpp"
 
 using namespace hbmvolt;
 
@@ -68,8 +72,11 @@ int main() {
     auto& stack = raw_board.stack(pc / per_stack);
     const unsigned local = pc % per_stack;
     const std::uint64_t beats = raw_board.geometry().beats_per_pc();
-    const auto trace =
-        workload::make_uniform_random(beats, kOps, 0.25, kSeed);
+    // The fleet's built-in uniform stream and payloads for this PC (see
+    // fleet.cpp).
+    const auto trace = workload::make_uniform_random(
+        beats, kOps, 0.25, stream_seed(kSeed, 0xF1EE7, pc, 0));
+    const std::uint64_t data_seed = mix_seed(kSeed, 0xDA7A);
 
     std::uint64_t raw_corrupt = 0;
     std::vector<bool> written(beats, false);
@@ -78,7 +85,7 @@ int main() {
       const std::uint64_t beat = trace[op].beat % beats;
       if (trace[op].write || !written[beat]) {
         (void)stack.write_beat(local, beat,
-                               runtime::make_payload(kSeed, pc, op));
+                               runtime::make_payload(data_seed, pc, op));
         written[beat] = true;
       } else {
         auto data = stack.read_beat(local, beat);
@@ -96,14 +103,17 @@ int main() {
     // --- reliable path: the full runtime ladder, same op stream.
     board::Vcu128Board board(bench::default_board_config());
     (void)board.set_hbm_voltage(Millivolts{mv});
-    runtime::ReliableChannelConfig config;
-    config.spare_fraction = 0.25;
-    runtime::ReliableChannel channel(board, pc, config);
-    const auto rel_trace = workload::make_uniform_random(
-        channel.capacity(), kOps, 0.25, kSeed);
+    runtime::FleetConfig config;
+    config.pcs = {pc};
+    config.channel.spare_fraction = 0.25;
+    config.ops_per_pc = kOps;
+    config.write_fraction = 0.25;
+    config.seed = kSeed;
+    config.threads = 1;
+    runtime::ServingFleet fleet(board, std::move(config));
 
     const auto rel_start = std::chrono::steady_clock::now();
-    auto served = channel.serve(rel_trace, kSeed);
+    auto served = fleet.run();
     const std::chrono::duration<double> rel_elapsed =
         std::chrono::steady_clock::now() - rel_start;
     if (!served.is_ok()) {
@@ -111,8 +121,8 @@ int main() {
                   served.status().to_string().c_str());
       continue;
     }
-    const runtime::ServeReport& r = served.value();
-    const runtime::ChannelStats& stats = channel.stats();
+    const runtime::FleetReport& r = served.value();
+    const runtime::ChannelStats& stats = fleet.channel(0).stats();
 
     std::printf("%.2fV   %10.2f %10.2f %11.4f%% %11.4f%% %10.2f %8llu %9d\n",
                 mv / 1000.0, kOps / raw_elapsed.count() / 1e6,
@@ -124,7 +134,7 @@ int main() {
                 1000.0 * static_cast<double>(stats.corrected_words) /
                     static_cast<double>(r.ops),
                 static_cast<unsigned long long>(stats.rows_retired),
-                board.hbm_voltage().value);
+                r.final_voltage.value);
   }
 
   std::printf(

@@ -4,7 +4,10 @@
 // These guard the "full sweep in seconds" property the fig benches rely
 // on.
 
+#include <algorithm>
+#include <map>
 #include <optional>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +18,6 @@
 #include "faults/fault_overlay.hpp"
 #include "hbm/stack.hpp"
 #include "runtime/fleet.hpp"
-#include "runtime/reliable_channel.hpp"
 #include "serve/plane.hpp"
 #include "serve/tenant.hpp"
 #include "telemetry/telemetry.hpp"
@@ -26,6 +28,13 @@ using namespace hbmvolt;
 
 hbm::HbmGeometry bench_geometry() {
   return hbm::HbmGeometry::simulation_default();
+}
+
+/// Forces `pc`'s lazy fault-overlay build with one beat read, so a timed
+/// region measures serving rather than setup.
+void warm_overlay(board::Vcu128Board& board, unsigned pc) {
+  const unsigned per_stack = board.geometry().pcs_per_stack();
+  (void)board.stack(pc / per_stack).read_beat(pc % per_stack, 0);
 }
 
 void BM_FeistelForward(benchmark::State& state) {
@@ -171,28 +180,32 @@ BENCHMARK(BM_SweepThroughput)
     ->UseRealTime();
 
 // Telemetry overhead on the serial sweep plus a nominal-voltage
-// ReliableChannel serve pass (docs/observability.md, CI telemetry gate).
-// The serve pass exercises the newer instrumentation sites -- per-PC
-// labeled family counters and HDR latency recording via OpTimer -- so the
-// gate covers them too, not just the sweep spans.  Arg(0): no telemetry
-// at all -- the baseline.  Arg(1): an instance installed but disabled, so
-// every instrumentation site takes the one-branch null path; CI fails if
-// this costs more than 3% over the baseline.  Arg(2): fully enabled
-// (spans + counters + families + latency recorded), the documented price
-// of turning observability on.
+// one-slot ServingFleet serve pass (docs/observability.md, CI telemetry
+// gate).  The serve pass exercises the newer instrumentation sites --
+// per-PC labeled family counters, HDR latency recording via OpTimer and
+// the epoch-barrier telemetry flush -- so the gate covers them too, not
+// just the sweep spans.  Every arm builds a fresh fleet per iteration and
+// serves the same op stream.  Arg(0): no telemetry at all -- the
+// baseline.  Arg(1): an instance installed but disabled, so every
+// instrumentation site takes the one-branch null path; CI fails if this
+// costs more than 3% over the baseline.  Arg(2): fully enabled (spans +
+// counters + families + latency recorded), the documented price of
+// turning observability on.
 void BM_TelemetryOverhead(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   board::Vcu128Board board(bench::default_board_config());
   core::ReliabilityTester tester(board, bench::bench_sweep_config());
 
-  // Nominal supply: the ladder never escalates, so the channel can be
-  // built once and serve the same trace every iteration.
-  runtime::ReliableChannelConfig channel_config;
-  channel_config.spare_fraction = 0.25;
-  runtime::ReliableChannel channel(board, 18, channel_config);
-  (void)channel.write(0, runtime::make_payload(1, 18, 0));  // overlay build
-  const workload::AccessTrace trace = workload::make_uniform_random(
-      channel.capacity(), 1 << 12, 0.25, 0x5E11E);
+  // Nominal supply: the ladder never escalates, so every iteration's
+  // fleet serves the same trace on the same board.
+  runtime::FleetConfig fleet_config;
+  fleet_config.pcs = {18};
+  fleet_config.channel.spare_fraction = 0.25;
+  fleet_config.ops_per_pc = 1 << 12;
+  fleet_config.write_fraction = 0.25;
+  fleet_config.seed = 0x5E11E;
+  fleet_config.threads = 1;
+  warm_overlay(board, 18);
 
   telemetry::Telemetry instance(
       telemetry::TelemetryConfig{.enabled = mode == 2});
@@ -207,12 +220,12 @@ void BM_TelemetryOverhead(benchmark::State& state) {
       break;
     }
     bits += map.value().device_record(Millivolts{1200}).bits_tested;
-    auto report = channel.serve(trace, 1);
+    runtime::ServingFleet fleet(board, fleet_config);
+    auto report = fleet.run();
     if (!report.is_ok()) {
       state.SkipWithError("serve failed");
       break;
     }
-    channel.flush_telemetry();  // the epoch-barrier family/HDR merge
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(bits));
   state.SetLabel(mode == 0 ? "no-telemetry"
@@ -227,35 +240,36 @@ BENCHMARK(BM_TelemetryOverhead)
 
 // Resilient-runtime serving price (bench/ext_resilient_serving.cpp has
 // the full raw-vs-reliable sweep; this tracks the trend).  One iteration
-// serves a 16k-op uniform stream through ReliableChannel on the weakest
-// PC.  Arg is the starting supply: nominal (ECC idle), 950 mV (SECDED
-// absorbing stuck cells), 920 mV (budget burns, rows retire online).
-// The board is rebuilt per iteration -- the ladder mutates voltage and
-// array state, so a fresh loop body is the only way iterations measure
-// the same thing -- but construction, the lazy fault-overlay build
-// (~50 ms for a weak PC at 950 mV, forced by the first access), and
-// trace generation happen under PauseTiming: the counter is serving
-// throughput, not setup.
+// serves a 16k-op uniform stream through a one-slot ServingFleet on the
+// weakest PC.  Arg is the starting supply: nominal (ECC idle), 950 mV
+// (SECDED absorbing stuck cells), 920 mV (budget burns, rows retire
+// online).  The board is rebuilt per iteration -- the ladder mutates
+// voltage and array state, so a fresh loop body is the only way
+// iterations measure the same thing -- but construction, the lazy
+// fault-overlay build (~50 ms for a weak PC at 950 mV, forced by one beat
+// read), and trace generation happen under PauseTiming: the counter is
+// serving throughput, not setup.
 void BM_ResilientServe(benchmark::State& state) {
   const int mv = static_cast<int>(state.range(0));
   constexpr std::uint64_t kOps = 1 << 14;
   std::optional<board::Vcu128Board> board;
-  std::optional<runtime::ReliableChannel> channel;
-  workload::AccessTrace trace;
+  std::optional<runtime::ServingFleet> fleet;
   for (auto _ : state) {
     state.PauseTiming();
-    channel.reset();
+    fleet.reset();
     board.emplace(bench::default_board_config());
     (void)board->set_hbm_voltage(Millivolts{mv});
-    runtime::ReliableChannelConfig config;
-    config.spare_fraction = 0.25;
-    channel.emplace(*board, 18, config);
-    (void)channel->write(0, runtime::make_payload(1, 18, 0));  // overlay build
-    trace =
-        workload::make_uniform_random(channel->capacity(), kOps, 0.25,
-                                      0x5E11E);
+    warm_overlay(*board, 18);
+    runtime::FleetConfig config;
+    config.pcs = {18};
+    config.channel.spare_fraction = 0.25;
+    config.ops_per_pc = kOps;
+    config.write_fraction = 0.25;
+    config.seed = 0x5E11E;
+    config.threads = 1;
+    fleet.emplace(*board, std::move(config));
     state.ResumeTiming();
-    auto report = channel->serve(trace, 1);
+    auto report = fleet->run();
     if (!report.is_ok()) {
       state.SkipWithError("serve failed");
       break;
@@ -275,11 +289,13 @@ BENCHMARK(BM_ResilientServe)
 // perf-smoke): one write sweep plus read sweeps over the weakest PC,
 // served raw at the stack (mode 0 -- per-beat loads, no ECC, no
 // journal, no scrub: the same unprotected baseline as
-// bench/ext_resilient_serving.cpp) or through
-// ReliableChannel::serve_trace (mode 1 -- the range engine coalesces
-// the sweeps into bulk encode/decode runs, scrub and budget amortized
-// per run).  CI fails if the reliable path delivers less than 1/3 of
-// raw ops/s at 950 mV.  Board rebuilt per iteration (same reason as
+// bench/ext_resilient_serving.cpp) or through a one-slot SECDED
+// ServingFleet (mode 1 -- the production serving loop; its built-in
+// streaming traffic coalesces the sweeps into bulk encode/decode runs,
+// scrub and budget amortized per run).  Same loop and shape as
+// BM_StripeServe, so the SECDED and stripe taxes compare directly.  CI
+// fails if the reliable path delivers less than 1/3 of raw ops/s at
+// 950 mV.  Board rebuilt per iteration (same reason as
 // BM_ResilientServe), with setup and the lazy overlay build likewise
 // excluded from the timed region.
 void BM_ReliableServe(benchmark::State& state) {
@@ -291,32 +307,33 @@ void BM_ReliableServe(benchmark::State& state) {
   constexpr unsigned kPc = 18;
   std::uint64_t ops = 0;
   std::optional<board::Vcu128Board> board;
-  std::optional<runtime::ReliableChannel> channel;
-  workload::AccessTrace trace;
+  std::optional<runtime::ServingFleet> fleet;
   for (auto _ : state) {
     state.PauseTiming();
-    channel.reset();
+    fleet.reset();
     board.emplace(bench::default_board_config());
     (void)board->set_hbm_voltage(Millivolts{mv});
     const unsigned per_stack = board->geometry().pcs_per_stack();
     auto& stack = board->stack(kPc / per_stack);
     const unsigned local = kPc % per_stack;
+    (void)stack.read_beat(local, 0);  // force the lazy overlay build
     if (reliable) {
-      runtime::ReliableChannelConfig config;
-      config.spare_fraction = 0.25;
-      channel.emplace(*board, kPc, config);
-      (void)channel->write(0, runtime::make_payload(1, kPc, 0));
-      trace = workload::make_streaming(channel->capacity(), kPasses);
+      runtime::FleetConfig config;
+      config.pcs = {kPc};
+      config.channel.spare_fraction = 0.25;
+      config.streaming_passes = kPasses;
+      config.threads = 1;
+      config.seed = 0x5E11E;
+      fleet.emplace(*board, std::move(config));
       state.ResumeTiming();
-      auto report = channel->serve_trace(trace, 1);
+      auto report = fleet->run();
       if (!report.is_ok()) {
-        state.SkipWithError("serve_trace failed");
+        state.SkipWithError("fleet run failed");
         break;
       }
       ops += report.value().ops;
     } else {
       const std::uint64_t beats = board->geometry().beats_per_pc();
-      (void)stack.read_beat(local, 0);  // force the lazy overlay build
       state.ResumeTiming();
       bool ok = true;
       for (std::uint64_t b = 0; b < beats && ok; ++b) {
@@ -369,9 +386,8 @@ void BM_StripeServe(benchmark::State& state) {
     fleet.reset();
     board.emplace(bench::default_board_config());
     (void)board->set_hbm_voltage(Millivolts{mv});
-    const unsigned per_stack = board->geometry().pcs_per_stack();
     for (unsigned pc = 0; pc < board->geometry().total_pcs(); ++pc) {
-      (void)board->stack(pc / per_stack).read_beat(pc % per_stack, 0);
+      warm_overlay(*board, pc);
     }
     runtime::FleetConfig config;
     config.scheme = mitigate::MitigationKind::kStripe;
@@ -392,61 +408,198 @@ void BM_StripeServe(benchmark::State& state) {
 }
 BENCHMARK(BM_StripeServe)->Arg(1200)->Arg(950)->Unit(benchmark::kMillisecond);
 
-// Request-plane bookkeeping price (docs/serving.md, CI perf gate): the
-// same single-threaded SECDED fleet serving a streaming shape bare
-// (Arg 1 == 0: the fleet's built-in per-PC sweeps -- the same reliable
-// serving path BM_ReliableServe prices on one channel) vs driven
-// through the multi-tenant RequestPlane (Arg 1 == 1: four streaming
-// tenants, chunk-placed, admission-controlled, deadline-tracked).
-// items/s counts foreground beats served either way, so the gap between
-// the two arms is what the plane's hashing, queues, and per-tenant
-// accounting cost; CI fails if that overhead exceeds 10% at nominal
-// voltage.  chunk_beats is large (512) so the range engine coalesces
-// comparably in both arms; board rebuilt per iteration with overlays
-// pre-built and tenant traces generated under PauseTiming.
+// ---- BM_TenantServe's identical op stream ----
+
+/// Wraps the tenant plane and records every request each slot completes,
+/// in completion order.
+class RecordingSource final : public runtime::RequestSource {
+ public:
+  RecordingSource(runtime::RequestSource& inner, std::size_t slots)
+      : log(slots), inner_(inner) {}
+
+  std::vector<std::vector<runtime::PlacedRequest>> log;  // per slot
+
+  void begin_epoch(const runtime::ServingFleet& fleet,
+                   std::uint64_t epoch) override {
+    inner_.begin_epoch(fleet, epoch);
+  }
+  const runtime::PlacedRequest* front(std::size_t slot) override {
+    return inner_.front(slot);
+  }
+  void complete(std::size_t slot, const runtime::PlacedRequest& request,
+                runtime::ServeOutcome outcome, unsigned attempts,
+                std::uint64_t model_ns) override {
+    log[slot].push_back(request);
+    inner_.complete(slot, request, outcome, attempts, model_ns);
+  }
+  bool spend_retry(std::size_t slot, std::uint32_t tenant) override {
+    return inner_.spend_retry(slot, tenant);
+  }
+  void end_epoch(telemetry::EpochSample* sample) override {
+    inner_.end_epoch(sample);
+  }
+  [[nodiscard]] bool exhausted() const override { return inner_.exhausted(); }
+  [[nodiscard]] std::uint64_t epochs_remaining_bound() const override {
+    return inner_.epochs_remaining_bound();
+  }
+  void fill_health(runtime::HealthRegistry* health) const override {
+    inner_.fill_health(health);
+  }
+  [[nodiscard]] std::uint64_t fingerprint() const override {
+    return inner_.fingerprint();
+  }
+
+ private:
+  runtime::RequestSource& inner_;
+};
+
+/// Replays recorded per-slot requests with no QoS bookkeeping: never
+/// hedges, never serves stale, no deadline, and the retry budget never
+/// runs dry -- the bare fleet serving path on the plane's op stream.
+class ReplaySource final : public runtime::RequestSource {
+ public:
+  explicit ReplaySource(
+      const std::vector<std::vector<runtime::PlacedRequest>>& log)
+      : log_(log), next_(log.size(), 0) {}
+
+  void begin_epoch(const runtime::ServingFleet& /*fleet*/,
+                   std::uint64_t /*epoch*/) override {}
+  const runtime::PlacedRequest* front(std::size_t slot) override {
+    if (next_[slot] >= log_[slot].size()) return nullptr;
+    request_ = log_[slot][next_[slot]];
+    request_.hedge = false;
+    request_.stale_ok = false;
+    request_.deadline_attempts = ~0u;
+    return &request_;
+  }
+  void complete(std::size_t slot, const runtime::PlacedRequest& /*request*/,
+                runtime::ServeOutcome /*outcome*/, unsigned /*attempts*/,
+                std::uint64_t /*model_ns*/) override {
+    ++next_[slot];
+  }
+  bool spend_retry(std::size_t /*slot*/, std::uint32_t /*tenant*/) override {
+    return true;
+  }
+  void end_epoch(telemetry::EpochSample* /*sample*/) override {}
+  [[nodiscard]] bool exhausted() const override {
+    for (std::size_t slot = 0; slot < log_.size(); ++slot) {
+      if (next_[slot] < log_[slot].size()) return false;
+    }
+    return true;
+  }
+  [[nodiscard]] std::uint64_t epochs_remaining_bound() const override {
+    // Every epoch serves at least one request per non-empty slot.
+    std::uint64_t bound = 0;
+    for (std::size_t slot = 0; slot < log_.size(); ++slot) {
+      bound = std::max<std::uint64_t>(bound, log_[slot].size() - next_[slot]);
+    }
+    return bound;
+  }
+  void fill_health(runtime::HealthRegistry* /*health*/) const override {}
+  [[nodiscard]] std::uint64_t fingerprint() const override { return 0; }
+
+ private:
+  const std::vector<std::vector<runtime::PlacedRequest>>& log_;
+  std::vector<std::size_t> next_;
+  // One slot is served at a time (threads = 1), so one buffer suffices.
+  runtime::PlacedRequest request_;
+};
+
+constexpr unsigned kTenantPasses = 8;
+constexpr std::uint64_t kTenantSeed = 0x5E11E;
+
+/// Four streaming tenants: ops = footprint x kTenantPasses, so each is one
+/// write pass plus kTenantPasses-1 read passes.  chunk_beats is large (512)
+/// so the range engine coalesces.
+serve::PlaneConfig tenant_plane_config() {
+  serve::PlaneConfig config;
+  config.tenants = serve::make_tenant_set(
+      4, {serve::WorkloadMix::kStreaming},
+      /*ops=*/2048 * kTenantPasses,
+      /*footprint_beats=*/2048, /*quota_per_epoch=*/8192);
+  config.seed = kTenantSeed;
+  config.chunk_beats = 512;
+  return config;
+}
+
+runtime::FleetConfig tenant_fleet_config(runtime::RequestSource* source) {
+  runtime::FleetConfig config;
+  config.scheme = mitigate::MitigationKind::kSecded;
+  config.threads = 1;
+  config.seed = kTenantSeed;
+  config.ops_per_epoch = 2048;
+  config.source = source;
+  return config;
+}
+
+/// The plane's placed op stream at `mv`, recorded once per process in an
+/// untimed run, plus the ops that run served.
+struct TenantStream {
+  std::vector<std::vector<runtime::PlacedRequest>> log;
+  std::uint64_t ops = 0;
+};
+
+const TenantStream& tenant_stream(int mv) {
+  static std::map<int, TenantStream> cache;
+  auto found = cache.find(mv);
+  if (found != cache.end()) return found->second;
+  board::Vcu128Board board(bench::default_board_config());
+  (void)board.set_hbm_voltage(Millivolts{mv});
+  serve::RequestPlane plane(tenant_plane_config());
+  RecordingSource recorder(plane, board.geometry().total_pcs());
+  runtime::ServingFleet fleet(board, tenant_fleet_config(&recorder));
+  auto report = fleet.run();
+  TenantStream& stream = cache[mv];
+  stream.log = std::move(recorder.log);
+  stream.ops = report.is_ok() ? report.value().ops : 0;
+  return stream;
+}
+
+// Request-plane bookkeeping price (docs/serving.md, CI perf gate): a
+// single-threaded SECDED fleet serving the identical op stream two ways.
+// Arg 1 == 1: driven through the multi-tenant RequestPlane (four
+// streaming tenants, chunk-placed, admission-controlled,
+// deadline-tracked).  Arg 1 == 0: the requests that plane placed,
+// recorded per slot in one untimed run, replayed through a minimal
+// source with no QoS bookkeeping.  Both arms must serve the same
+// FleetReport::ops, so the gap between them is what the plane's hashing,
+// queues, and per-tenant accounting cost; CI fails if that overhead
+// exceeds 10% at nominal voltage.  Board rebuilt per iteration with
+// overlays pre-built under PauseTiming.
 void BM_TenantServe(benchmark::State& state) {
   const int mv = static_cast<int>(state.range(0));
   const bool plane_on = state.range(1) != 0;
-  constexpr unsigned kPasses = 8;
+  const TenantStream& stream = tenant_stream(mv);
   std::uint64_t ops = 0;
   std::optional<board::Vcu128Board> board;
   std::optional<serve::RequestPlane> plane;
+  std::optional<ReplaySource> replay;
   std::optional<runtime::ServingFleet> fleet;
   for (auto _ : state) {
     state.PauseTiming();
     fleet.reset();
     plane.reset();
+    replay.reset();
     board.emplace(bench::default_board_config());
     (void)board->set_hbm_voltage(Millivolts{mv});
-    const unsigned per_stack = board->geometry().pcs_per_stack();
     for (unsigned pc = 0; pc < board->geometry().total_pcs(); ++pc) {
-      (void)board->stack(pc / per_stack).read_beat(pc % per_stack, 0);
+      warm_overlay(*board, pc);
     }
-    runtime::FleetConfig config;
-    config.scheme = mitigate::MitigationKind::kSecded;
-    config.threads = 1;
-    config.seed = 0x5E11E;
+    runtime::RequestSource* source = nullptr;
     if (plane_on) {
-      // ops = footprint x kPasses, so each tenant is one write pass plus
-      // kPasses-1 read passes -- the same read/write mix as the bare arm.
-      serve::PlaneConfig plane_config;
-      plane_config.tenants = serve::make_tenant_set(
-          4, {serve::WorkloadMix::kStreaming},
-          /*ops=*/2048 * kPasses,
-          /*footprint_beats=*/2048, /*quota_per_epoch=*/8192);
-      plane_config.seed = 0x5E11E;
-      plane_config.chunk_beats = 512;
-      plane.emplace(std::move(plane_config));
-      config.source = &*plane;
-      config.ops_per_epoch = 2048;
+      source = &plane.emplace(tenant_plane_config());
     } else {
-      config.streaming_passes = kPasses;
+      source = &replay.emplace(stream.log);
     }
-    fleet.emplace(*board, std::move(config));
+    fleet.emplace(*board, tenant_fleet_config(source));
     state.ResumeTiming();
     auto report = fleet->run();
     if (!report.is_ok()) {
       state.SkipWithError("fleet run failed");
+      break;
+    }
+    if (report.value().ops != stream.ops) {
+      state.SkipWithError("arms served different op counts");
       break;
     }
     ops += report.value().ops;

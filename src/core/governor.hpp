@@ -14,7 +14,9 @@
 //           last-known-good voltage plus margin
 //
 // The probe uses a small memory slice, so convergence costs a tiny
-// fraction of a full Algorithm-1 sweep.
+// fraction of a full Algorithm-1 sweep.  The governor picks the starting
+// point; raising the supply while serving is the runtime ladder's rung 2,
+// applied at ServingFleet's epoch barrier (src/runtime/fleet.hpp).
 
 #pragma once
 
@@ -73,11 +75,6 @@ class UndervoltGovernor {
   /// the probe budget runs out).  Leaves the board at the settled
   /// voltage.
   Result<GovernorResult> run();
-
-  /// Raises the board one `step_mv` above its current setpoint, capped at
-  /// nominal -- the degradation ladder's "raise voltage" rung (see
-  /// src/runtime/).  Returns the new setpoint.
-  Result<Millivolts> raise_one_step();
 
  private:
   /// One probe at the current voltage: write/read the probe slice on

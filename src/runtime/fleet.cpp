@@ -42,7 +42,7 @@ void xor_into(hbm::Beat& acc, const hbm::Beat& b) noexcept {
 
 /// Failed tries on one read before the fleet gives up on the run: a climb
 /// from deep undervolt to nominal is a few dozen rungs, everything above
-/// it O(1) (the same bound as ReliableChannel::serve_one).
+/// it O(1).
 constexpr unsigned kMaxReadAttempts = 64;
 
 }  // namespace
@@ -1046,12 +1046,40 @@ FleetCheckpoint ServingFleet::checkpoint() const {
 Status ServingFleet::restore(const FleetCheckpoint& ck) {
   const hbm::HbmGeometry& geometry = board_.geometry();
   const unsigned total = geometry.total_pcs();
+  // Validate everything before touching the board or any fleet state, so
+  // a malformed checkpoint leaves both as they were.
   if (ck.slots.size() != states_.size() ||
       ck.channels.size() != channels_.size() ||
       ck.parity.size() != parity_channels_.size() ||
       ck.groups.size() != groups_.size() ||
-      ck.array_words.size() != total) {
+      ck.array_words.size() != total || ck.burst_extras.size() != total ||
+      ck.spare_next > spare_pcs_.size()) {
     return invalid_argument("fleet checkpoint shape mismatch");
+  }
+  for (const unsigned pc : ck.killed_pcs) {
+    if (pc >= total) {
+      return invalid_argument("fleet checkpoint PC out of range");
+    }
+  }
+  for (unsigned pc = 0; pc < total; ++pc) {
+    const hbm::PcId id = hbm::PcId::from_global(geometry, pc);
+    if (ck.array_words[pc].size() !=
+        board_.stack(id.stack).array(id.index).bits() / 64) {
+      return invalid_argument("fleet checkpoint array size mismatch");
+    }
+  }
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    if (!channels_[i]->fits(ck.channels[i])) {
+      return invalid_argument("fleet checkpoint channel shape mismatch");
+    }
+  }
+  for (std::size_t g = 0; g < parity_channels_.size(); ++g) {
+    const FleetCheckpoint::Group& grp = ck.groups[g];
+    if (!parity_channels_[g]->fits(ck.parity[g]) ||
+        (grp.rebuilding != StripeGroup::kIdle &&
+         grp.rebuilding >= channels_.size())) {
+      return invalid_argument("fleet checkpoint stripe group mismatch");
+    }
   }
   base_epochs_ = ck.epochs;
   base_raises_ = ck.raises;
@@ -1070,9 +1098,6 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
   for (unsigned pc = 0; pc < total; ++pc) {
     const hbm::PcId id = hbm::PcId::from_global(geometry, pc);
     hbm::MemoryArray& array = board_.stack(id.stack).array(id.index);
-    if (ck.array_words[pc].size() != array.bits() / 64) {
-      return invalid_argument("fleet checkpoint array size mismatch");
-    }
     array.write_words(0, ck.array_words[pc].size(),
                       ck.array_words[pc].data());
   }

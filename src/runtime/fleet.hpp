@@ -193,8 +193,8 @@ struct FleetConfig {
   /// 0 = uniform-random traffic (ops_per_pc / write_fraction above).
   /// N > 0 = N sequential sweeps over each PC's full capacity instead
   /// (first touch writes, later passes read), the shape that lets the
-  /// range engine coalesce -- the perf-gate workload (BM_StripeServe),
-  /// directly comparable to ReliableChannel::serve_trace streaming.
+  /// range engine coalesce -- the perf-gate workload (BM_ReliableServe on
+  /// one slot, BM_StripeServe under the stripe).
   unsigned streaming_passes = 0;
   std::uint64_t seed = 1;
   /// Worker threads (1 = serial reference path, 0 = hardware count).
@@ -228,6 +228,19 @@ struct FleetConfig {
   /// ignores the built-in traffic knobs and is incompatible with the
   /// checkpoint seam (it is not captured).
   RequestSource* source = nullptr;
+};
+
+/// One slot's serving tally: the worker loop's per-slot counts, summed
+/// into FleetReport and carried in FleetCheckpoint::Slot.
+struct ServeReport {
+  std::uint64_t ops = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  /// Reads whose delivered beat mismatched the journal.  The runtime's
+  /// headline invariant: always zero.
+  std::uint64_t corrupt_reads = 0;
+  /// Reads that needed at least one escalate() + retry round.
+  std::uint64_t escalated_reads = 0;
 };
 
 struct FleetReport {
@@ -316,7 +329,9 @@ class ServingFleet {
   /// Restores a checkpoint onto this fleet and its (fresh) board: replays
   /// voltage, burst extras, PC kills, and raw array words, then every
   /// channel/slot/group state.  The fleet must have been constructed with
-  /// the same config as the one that captured the checkpoint.
+  /// the same config as the one that captured the checkpoint.  A
+  /// checkpoint whose shape does not match this fleet and board returns
+  /// kInvalidArgument before anything is touched.
   Status restore(const FleetCheckpoint& ck);
 
   [[nodiscard]] mitigate::MitigationKind scheme() const noexcept {

@@ -32,6 +32,12 @@
 //                        board and restore every live beat from the
 //                        host-side journal (the last consistent state).
 //
+// Rungs 0 and 1 are PC-local and run inside the channel.  Rungs 2 and 3
+// touch the whole board, so the channel only *requests* them (escalate()
+// returns the rung); the caller applies them.  In the library that caller
+// is ServingFleet's epoch barrier (fleet.hpp), the one place that serves
+// traffic and applies global rungs; the channel is its per-PC API.
+//
 // The caller-visible contract, pinned by tests/runtime_test.cpp: read()
 // NEVER returns corrupt data.  A word the code cannot correct yields a
 // kDataLoss status and a recorded escalation; after escalate() (and any
@@ -66,7 +72,6 @@
 #include "runtime/error_budget.hpp"
 #include "runtime/flat_index.hpp"
 #include "telemetry/hdr_histogram.hpp"
-#include "workload/trace.hpp"
 
 namespace hbmvolt::runtime {
 
@@ -117,8 +122,8 @@ enum class LadderRung : unsigned {
 
 [[nodiscard]] const char* to_string(LadderRung rung) noexcept;
 
-/// Deterministic beat payload for op `op` of PC `pc` -- the data both
-/// serve() and the fleet write, and the journal verifies reads against.
+/// Deterministic beat payload for op `op` of PC `pc` -- the data the
+/// fleet writes, and the journal verifies reads against.
 [[nodiscard]] hbm::Beat make_payload(std::uint64_t seed, unsigned pc,
                                      std::uint64_t op);
 
@@ -165,18 +170,6 @@ struct ChannelStats {
   std::uint64_t reconstructed_reads = 0;
   /// Beats rewritten onto the adopted spare PC by the online rebuild.
   std::uint64_t rebuilt_beats = 0;
-};
-
-/// Serial serving report (see serve()).
-struct ServeReport {
-  std::uint64_t ops = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  /// Reads whose delivered beat mismatched the journal.  The runtime's
-  /// headline invariant: always zero.
-  std::uint64_t corrupt_reads = 0;
-  /// Reads that needed at least one escalate() + retry round.
-  std::uint64_t escalated_reads = 0;
 };
 
 /// Plain-data snapshot of everything a ReliableChannel needs to resume
@@ -339,22 +332,10 @@ class ReliableChannel {
   /// PCs, burst extras, and raw array words.
   void capture(ChannelCheckpoint* out) const;
   void restore(const ChannelCheckpoint& ck);
-
-  /// Serial convenience driver: replays `trace` (beats taken modulo
-  /// capacity), self-checking every read against the journal and applying
-  /// the full ladder inline -- including the global rungs, which is only
-  /// legal because nothing else is using the board.  Fleets split the
-  /// loop instead (see fleet.hpp).
-  Result<ServeReport> serve(const workload::AccessTrace& trace,
-                            std::uint64_t data_seed = 1);
-
-  /// serve() with run coalescing: maximal stretches of consecutive-beat
-  /// same-direction records are served through read_range/write_range, so
-  /// streaming traces ride the bulk path.  Identical journal state and
-  /// report invariants (corrupt_reads == 0) as serve(); escalation falls
-  /// back to the per-op ladder for the affected run.
-  Result<ServeReport> serve_trace(const workload::AccessTrace& trace,
-                                  std::uint64_t data_seed = 1);
+  /// True when restore() accepts `ck`: silicon on this board, and journal,
+  /// live map, remap, clean-block marks, and ECC shadow sized to this
+  /// channel.
+  [[nodiscard]] bool fits(const ChannelCheckpoint& ck) const;
 
   [[nodiscard]] const ChannelStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ErrorBudget& budget() const noexcept { return budget_; }
@@ -397,17 +378,6 @@ class ReliableChannel {
   friend class ServingFleet;
 
   static constexpr std::uint64_t kNoBlock = ~0ull;
-
-  /// One trace op with journal self-check; read escalations are handled
-  /// by apply_ladder_serial (serial mode only).
-  Status serve_one(bool write_op, std::uint64_t logical,
-                   const hbm::Beat& payload, ServeReport* report);
-  /// Applies whatever rung escalate() asks for, including the global
-  /// ones -- only legal when nothing else shares the board.
-  Status apply_ladder_serial();
-  /// Power-cycle + journal restore with a bounded retry: a chaos
-  /// spurious crash can land during the cycle's own voltage restore.
-  Status cycle_and_restore();
 
   /// Scrub one logical beat (the special-beat body of the patrol).
   Status scrub_one(std::uint64_t logical);
@@ -506,11 +476,8 @@ class ReliableChannel {
   std::vector<LadderEvent> ladder_trace_;
 
   // Range-engine scratch (high-water reuse, no per-call allocation).
-  // trace_beats_ is serve_trace's payload/read buffer -- distinct from
-  // scratch_beats_, which write_range's verify pass clobbers.
   std::vector<ecc::EccChannel::RangeBeatEvent> scratch_events_;
   std::vector<hbm::Beat> scratch_beats_;
-  std::vector<hbm::Beat> trace_beats_;
 };
 
 }  // namespace hbmvolt::runtime

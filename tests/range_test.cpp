@@ -23,6 +23,7 @@
 #include "runtime/flat_index.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/reliable_channel.hpp"
+#include "serial_reference.hpp"
 #include "workload/trace.hpp"
 
 namespace hbmvolt {
@@ -454,8 +455,10 @@ TEST(ReliableRangeTest, RemappedBeatsAtRangeBoundaries) {
 
   const workload::AccessTrace trace =
       workload::make_uniform_random(cap, 2048, 0.25, 0x5EED);
-  auto ra = twin.range.serve(trace, 7);
-  auto rb = twin.perbeat.serve(trace, 7);
+  auto ra = test::SerialReference(twin.board_range, twin.range)
+                .serve(trace, 7);
+  auto rb = test::SerialReference(twin.board_perbeat, twin.perbeat)
+                .serve(trace, 7);
   ASSERT_TRUE(ra.is_ok());
   ASSERT_TRUE(rb.is_ok());
   EXPECT_EQ(ra.value().corrupt_reads, 0u);
@@ -498,8 +501,10 @@ TEST(ReliableRangeTest, ReadRangeSpansParkedBeats) {
   const std::uint64_t cap = twin.range.capacity();
   const workload::AccessTrace trace =
       workload::make_uniform_random(cap, 2048, 0.25, 0xAB5EED);
-  auto ra = twin.range.serve(trace, 9);
-  auto rb = twin.perbeat.serve(trace, 9);
+  auto ra = test::SerialReference(twin.board_range, twin.range)
+                .serve(trace, 9);
+  auto rb = test::SerialReference(twin.board_perbeat, twin.perbeat)
+                .serve(trace, 9);
   ASSERT_TRUE(ra.is_ok());
   ASSERT_TRUE(rb.is_ok());
   EXPECT_EQ(ra.value().corrupt_reads, 0u);
@@ -524,45 +529,6 @@ TEST(ReliableRangeTest, ReadRangeSpansParkedBeats) {
     EXPECT_GT(twin.range.stats().journal_served_reads, served_before);
   }
   twin.expect_equal("after spanning read_range");
-}
-
-TEST(ReliableRangeTest, ServeTraceStreamingEquivalence) {
-  // Streaming trace = maximal contiguous runs: the bulk path carries
-  // nearly every op.  Same journal, stats, and report as the per-beat
-  // engine, with the headline invariant intact.
-  ReliableChannelConfig config;
-  config.spare_fraction = 0.25;
-  ChannelTwin twin(kWeakPc, config, 950);
-  const workload::AccessTrace trace =
-      workload::make_streaming(twin.range.capacity(), 4);
-
-  auto ra = twin.range.serve_trace(trace, 21);
-  auto rb = twin.perbeat.serve_trace(trace, 21);
-  ASSERT_TRUE(ra.is_ok());
-  ASSERT_TRUE(rb.is_ok());
-  EXPECT_EQ(ra.value().ops, rb.value().ops);
-  EXPECT_EQ(ra.value().reads, rb.value().reads);
-  EXPECT_EQ(ra.value().writes, rb.value().writes);
-  EXPECT_EQ(ra.value().corrupt_reads, 0u);
-  EXPECT_EQ(rb.value().corrupt_reads, 0u);
-  twin.expect_equal("after streaming serve_trace");
-
-  // serve_trace == serve on a third universe: coalescing changes the
-  // mechanism and the scrub cadence policy, not the delivered bytes.
-  board::Vcu128Board board_serial(tiny_board());
-  ASSERT_TRUE(board_serial.set_hbm_voltage(Millivolts{950}).is_ok());
-  ReliableChannel serial(board_serial, kWeakPc,
-                         ChannelTwin::with_engine(config,
-                                                  ChannelEngine::kPerBeat));
-  auto rs = serial.serve(trace, 21);
-  ASSERT_TRUE(rs.is_ok());
-  EXPECT_EQ(rs.value().corrupt_reads, 0u);
-  for (std::uint64_t l = 0; l < twin.range.capacity(); ++l) {
-    ASSERT_EQ(twin.range.journal_live(l), serial.journal_live(l));
-    if (serial.journal_live(l)) {
-      ASSERT_EQ(twin.range.journal_beat(l), serial.journal_beat(l)) << l;
-    }
-  }
 }
 
 TEST(ReliableRangeTest, OneSlotFleetMatchesSerialReference) {
@@ -601,7 +567,8 @@ TEST(ReliableRangeTest, OneSlotFleetMatchesSerialReference) {
                              cap, config.ops_per_pc, config.write_fraction,
                              stream_seed(config.seed, 0xF1EE7, pc, 0));
         const std::uint64_t data_seed = mix_seed(config.seed, 0xDA7A);
-        auto serial_report = serial.serve(trace, data_seed);
+        auto serial_report =
+            test::SerialReference(serial_board, serial).serve(trace, data_seed);
         ASSERT_TRUE(serial_report.is_ok())
             << serial_report.status().to_string();
 
@@ -623,13 +590,19 @@ TEST(ReliableRangeTest, OneSlotFleetMatchesSerialReference) {
 }
 
 TEST(ReliableRangeTest, FleetFingerprintAcrossEnginesAndThreads) {
-  const auto run_fleet = [](ChannelEngine engine, unsigned threads) {
+  // Uniform traffic (passes 0) and streaming sweeps (passes 4: maximal
+  // contiguous runs, so the bulk path carries nearly every op) at 950 mV:
+  // same fingerprint from both engines at any thread count, with the
+  // headline invariant intact.
+  const auto run_fleet = [](ChannelEngine engine, unsigned threads,
+                            unsigned passes) {
     board::Vcu128Board board(tiny_board());
     EXPECT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
     FleetConfig config;
     config.pcs = {0, kWeakPc, 5};
     config.ops_per_pc = 4096;
     config.ops_per_epoch = 512;
+    config.streaming_passes = passes;
     config.seed = 77;
     config.threads = threads;
     config.channel.spare_fraction = 0.25;
@@ -641,14 +614,19 @@ TEST(ReliableRangeTest, FleetFingerprintAcrossEnginesAndThreads) {
     return report.is_ok() ? report.value().fingerprint : 0;
   };
 
-  const std::uint64_t range_1 = run_fleet(ChannelEngine::kRange, 1);
-  const std::uint64_t range_4 = run_fleet(ChannelEngine::kRange, 4);
-  const std::uint64_t perbeat_1 = run_fleet(ChannelEngine::kPerBeat, 1);
-  const std::uint64_t perbeat_4 = run_fleet(ChannelEngine::kPerBeat, 4);
-  EXPECT_NE(range_1, 0u);
-  EXPECT_EQ(range_1, range_4);
-  EXPECT_EQ(range_1, perbeat_1);
-  EXPECT_EQ(range_1, perbeat_4);
+  for (const unsigned passes : {0u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "streaming passes " << passes);
+    const std::uint64_t range_1 = run_fleet(ChannelEngine::kRange, 1, passes);
+    const std::uint64_t range_4 = run_fleet(ChannelEngine::kRange, 4, passes);
+    const std::uint64_t perbeat_1 =
+        run_fleet(ChannelEngine::kPerBeat, 1, passes);
+    const std::uint64_t perbeat_4 =
+        run_fleet(ChannelEngine::kPerBeat, 4, passes);
+    EXPECT_NE(range_1, 0u);
+    EXPECT_EQ(range_1, range_4);
+    EXPECT_EQ(range_1, perbeat_1);
+    EXPECT_EQ(range_1, perbeat_4);
+  }
 }
 
 }  // namespace

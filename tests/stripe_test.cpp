@@ -2,6 +2,8 @@
 // XOR reconstruction, online rebuild onto spare PCs, and the checkpoint
 // seam that makes a mid-rebuild kill+resume byte-identical.
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "board/vcu128.hpp"
@@ -220,6 +222,85 @@ TEST(StripeTest, CheckpointMidRebuildResumesByteIdentically) {
   EXPECT_EQ(resumed.value().epochs, reference_epochs);
   EXPECT_EQ(resumed.value().corrupt_reads, 0u);
   EXPECT_FALSE(fleet.channel(0).device_lost());
+}
+
+TEST(StripeTest, RestoreRejectsMalformedCheckpoints) {
+  // A real checkpoint: a stripe fleet halted after PC 0 died at 950 mV.
+  runtime::FleetCheckpoint good;
+  {
+    board::Vcu128Board board(tiny_board());
+    ASSERT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
+    runtime::FleetConfig config =
+        with_kill(stripe_fleet(2048, 1, 42), board, 0, 70);
+    config.halt_after_epochs = 4;
+    runtime::ServingFleet fleet(board, config);
+    auto result = fleet.run();
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    ASSERT_TRUE(result.value().halted);
+    good = fleet.checkpoint();
+  }
+  ASSERT_EQ(good.voltage_mv, 950);
+  ASSERT_FALSE(good.killed_pcs.empty());
+
+  const unsigned total = hbm::HbmGeometry::test_tiny().total_pcs();
+  using Mutation = void (*)(runtime::FleetCheckpoint&, unsigned);
+  const std::pair<const char*, Mutation> cases[] = {
+      {"burst_extras short",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         ck.burst_extras.pop_back();
+       }},
+      {"killed PC out of range",
+       [](runtime::FleetCheckpoint& ck, unsigned n) {
+         ck.killed_pcs.push_back(n);
+       }},
+      {"array words short",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         ck.array_words[3].pop_back();
+       }},
+      {"journal short",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         ck.channels[1].journal.pop_back();
+       }},
+      {"live map long",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         ck.channels[1].live.push_back(true);
+       }},
+      {"remap short",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         ck.channels[1].remap.pop_back();
+       }},
+      {"clean blocks long",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         ck.channels[1].clean_blocks.push_back(false);
+       }},
+      {"ecc shadow short",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         ck.channels[1].ecc_shadow.pop_back();
+       }},
+      {"parity journal short",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         ck.parity[0].journal.pop_back();
+       }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    SCOPED_TRACE(name);
+    runtime::FleetCheckpoint bad = good;
+    mutate(bad, total);
+    board::Vcu128Board board(tiny_board());
+    runtime::ServingFleet fleet(board, stripe_fleet(2048, 1, 42));
+    EXPECT_EQ(fleet.restore(bad).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(board.hbm_voltage().value, 1200);
+    for (unsigned pc = 0; pc < total; ++pc) {
+      const hbm::PcId id = hbm::PcId::from_global(board.geometry(), pc);
+      EXPECT_FALSE(board.stack(id.stack).pc_killed(id.index)) << pc;
+    }
+  }
+
+  // The unmutated checkpoint still restores.
+  board::Vcu128Board board(tiny_board());
+  runtime::ServingFleet fleet(board, stripe_fleet(2048, 1, 42));
+  ASSERT_TRUE(fleet.restore(good).is_ok());
+  EXPECT_EQ(board.hbm_voltage().value, 950);
 }
 
 TEST(StripeTest, NonStripeSchemesSurvivePcKillFromTheJournal) {

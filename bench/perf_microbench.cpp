@@ -603,6 +603,7 @@ void BM_TenantServe(benchmark::State& state) {
       break;
     }
     ops += report.value().ops;
+    state.counters["epochs"] = static_cast<double>(report.value().epochs);
   }
   state.SetLabel(plane_on ? "plane" : "bare");
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));

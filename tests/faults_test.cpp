@@ -1,7 +1,9 @@
 // Unit tests for src/faults: the calibrated fault model, weak-cell
 // ordering, overlays, the injector, and the fault map.
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <set>
 #include <span>
 #include <utility>
@@ -9,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "board/vcu128.hpp"
+#include "common/rng.hpp"
 #include "faults/fault_map.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/fault_overlay.hpp"
@@ -318,6 +322,125 @@ TEST(WeakCellOrderTest, DeterministicPerSeed) {
             b.order(StuckPolarity::kStuckAt0));
   EXPECT_NE(a.order(StuckPolarity::kStuckAt0),
             c.order(StuckPolarity::kStuckAt0));
+}
+
+// FNV-1a over the cell indices, in order.
+std::uint64_t order_digest(const std::vector<std::uint32_t>& cells) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const std::uint32_t cell : cells) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (cell >> (8 * byte)) & 0xFFu;
+      hash *= 0x100000001B3ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(WeakCellOrderTest, OrdersArePinned) {
+  // Every stuck set, and so every figure and fingerprint downstream, is a
+  // prefix of these orders: any change to how they are built must leave
+  // them byte-identical.
+  board::BoardConfig config;
+  config.seed = 1;
+  board::Vcu128Board board(config);
+  struct Pin {
+    unsigned pc;
+    std::uint64_t sa0;
+    std::uint64_t sa1;
+  };
+  const Pin pins[] = {
+      {0, 0x64C14207DE98C371ULL, 0x8525C3EDFED42381ULL},
+      {1, 0x06111D8228B474C0ULL, 0xCDB3091ED6D2CF74ULL},
+      {18, 0x0590B2C153F4F00EULL, 0xF97F30FD8B5808B6ULL},
+      {31, 0x27240B1E07BC3528ULL, 0x45B04A0680331178ULL},
+  };
+  for (const auto& pin : pins) {
+    const auto& order = board.injector().order(pin.pc);
+    EXPECT_EQ(order_digest(order.order(StuckPolarity::kStuckAt0)), pin.sa0)
+        << "pc " << pin.pc;
+    EXPECT_EQ(order_digest(order.order(StuckPolarity::kStuckAt1)), pin.sa1)
+        << "pc " << pin.pc;
+  }
+}
+
+// Reference: the straightforward construction -- key and polarity per
+// cell, cluster test per bit, then one (key, cell) comparison sort per
+// polarity.  WeakCellOrder must reproduce it exactly.
+std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>
+comparison_sort_orders(const HbmGeometry& g, std::uint64_t pc_seed,
+                       const WeakCellConfig& config) {
+  std::vector<faults::ClusterWindow> clusters;
+  Xoshiro256 cluster_rng(mix_seed(pc_seed, 0xC1057E2));
+  const std::uint64_t rows = g.rows_per_bank();
+  for (unsigned i = 0; i < config.cluster_count; ++i) {
+    faults::ClusterWindow window;
+    window.bank = static_cast<unsigned>(cluster_rng.bounded(g.banks_per_pc));
+    window.row_count = config.cluster_rows;
+    const std::uint64_t max_lo =
+        rows > window.row_count ? rows - window.row_count : 0;
+    window.row_lo = cluster_rng.bounded(max_lo + 1);
+    clusters.push_back(window);
+  }
+  const auto in_cluster = [&](std::uint64_t bit) {
+    const auto loc = hbm::decompose_beat(g, bit / g.bits_per_beat);
+    for (const auto& window : clusters) {
+      if (loc.bank == window.bank && loc.row >= window.row_lo &&
+          loc.row < window.row_lo + window.row_count) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  struct Keyed {
+    std::uint64_t key;
+    std::uint32_t cell;
+  };
+  std::vector<Keyed> keyed0;
+  std::vector<Keyed> keyed1;
+  const std::uint64_t key_seed = mix_seed(pc_seed, 0x57E26);
+  const std::uint64_t polarity_seed = mix_seed(pc_seed, 0x9012A);
+  const auto share1_threshold = static_cast<std::uint64_t>(
+      config.stuck_at_one_share * 18446744073709551615.0);
+  for (std::uint64_t cell = 0; cell < g.bits_per_pc; ++cell) {
+    std::uint64_t key = splitmix64(key_seed ^ cell);
+    if (in_cluster(cell)) key >>= config.cluster_key_shift;
+    const bool stuck1 = splitmix64(polarity_seed ^ cell) < share1_threshold;
+    (stuck1 ? keyed1 : keyed0)
+        .push_back({key, static_cast<std::uint32_t>(cell)});
+  }
+  const auto by_key = [](const Keyed& a, const Keyed& b) {
+    return a.key < b.key || (a.key == b.key && a.cell < b.cell);
+  };
+  std::sort(keyed0.begin(), keyed0.end(), by_key);
+  std::sort(keyed1.begin(), keyed1.end(), by_key);
+  std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>> orders;
+  for (const auto& k : keyed0) orders.first.push_back(k.cell);
+  for (const auto& k : keyed1) orders.second.push_back(k.cell);
+  return orders;
+}
+
+TEST(WeakCellOrderTest, MatchesComparisonSortReference) {
+  // Shift 63 crushes every cluster key to 0 or 1, piling the clusters
+  // into one oversized key bucket; share 0 leaves stuck-at-1 empty.
+  const auto g = HbmGeometry::test_tiny();
+  for (const unsigned count : {0u, 1u, 6u, 40u}) {
+    for (const unsigned shift : {0u, 5u, 20u, 63u}) {
+      for (const double share : {0.0, 0.5475}) {
+        SCOPED_TRACE(::testing::Message() << "clusters " << count
+                                          << " shift " << shift
+                                          << " share " << share);
+        WeakCellConfig config;
+        config.cluster_count = count;
+        config.cluster_key_shift = shift;
+        config.stuck_at_one_share = share;
+        const WeakCellOrder order(g, 42 + count, config);
+        const auto reference = comparison_sort_orders(g, 42 + count, config);
+        EXPECT_EQ(order.order(StuckPolarity::kStuckAt0), reference.first);
+        EXPECT_EQ(order.order(StuckPolarity::kStuckAt1), reference.second);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- FaultOverlay

@@ -69,6 +69,12 @@ Result<BoardConfig> board_config_from_ini(const IniFile& ini) {
   HBMVOLT_RETURN_IF_ERROR(apply(ini, "faults", "stuck_at_one_share",
                                 &IniFile::get_double,
                                 faults.stuck_at_one_share));
+  // A probability: NaN, infinities and values outside [0, 1] split no
+  // cells into polarities.
+  if (!(faults.stuck_at_one_share >= 0.0 &&
+        faults.stuck_at_one_share <= 1.0)) {
+    return invalid_argument("[faults] stuck_at_one_share must lie in [0, 1]");
+  }
   HBMVOLT_RETURN_IF_ERROR(apply(ini, "faults", "bulk_mid_volts",
                                 &IniFile::get_double,
                                 faults.bulk_mid_volts));

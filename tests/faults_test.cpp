@@ -324,6 +324,26 @@ TEST(WeakCellOrderTest, DeterministicPerSeed) {
             c.order(StuckPolarity::kStuckAt0));
 }
 
+TEST(WeakCellOrderTest, FullStuckAtOneShareMakesEveryCellStuckAtOne) {
+  const auto g = HbmGeometry::test_tiny();
+  WeakCellConfig config;
+  config.stuck_at_one_share = 1.0;
+  const WeakCellOrder order(g, 42, config);
+  EXPECT_TRUE(order.order(StuckPolarity::kStuckAt0).empty());
+  EXPECT_EQ(order.order(StuckPolarity::kStuckAt1).size(), g.bits_per_pc);
+
+  // The model asks for stuck-at-1 cells only, and the overlay finds them.
+  FaultModelConfig model_config;
+  model_config.stuck_at_one_share = 1.0;
+  FaultInjector injector(FaultModel(g, model_config));
+  injector.set_voltage(Millivolts{900});
+  const std::uint64_t wanted = injector.model().stuck_count(
+      18, StuckPolarity::kStuckAt1, Millivolts{900});
+  ASSERT_GT(wanted, 0u);
+  EXPECT_EQ(injector.overlay(18).count(StuckPolarity::kStuckAt1), wanted);
+  EXPECT_EQ(injector.overlay(18).count(StuckPolarity::kStuckAt0), 0u);
+}
+
 // FNV-1a over the cell indices, in order.
 std::uint64_t order_digest(const std::vector<std::uint32_t>& cells) {
   std::uint64_t hash = 0xCBF29CE484222325ULL;

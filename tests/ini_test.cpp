@@ -1,5 +1,7 @@
 // Unit tests for the INI parser and the BoardConfig <-> INI mapping.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "board/config_io.hpp"
@@ -146,6 +148,24 @@ TEST(ConfigIoTest, InvalidGeometryRejected) {
   auto ini = IniFile::parse("[geometry]\nbits_per_pc = 1000\n");
   ASSERT_TRUE(ini.is_ok());
   EXPECT_FALSE(board::board_config_from_ini(ini.value()).is_ok());
+}
+
+TEST(ConfigIoTest, StuckAtOneShareMustBeAProbability) {
+  for (const char* share : {"-0.1", "1.5", "nan", "inf"}) {
+    SCOPED_TRACE(share);
+    auto ini = IniFile::parse(std::string("[faults]\nstuck_at_one_share = ") +
+                              share + "\n");
+    ASSERT_TRUE(ini.is_ok());
+    EXPECT_EQ(board::board_config_from_ini(ini.value()).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const char* share : {"0", "0.5475", "1"}) {
+    SCOPED_TRACE(share);
+    auto ini = IniFile::parse(std::string("[faults]\nstuck_at_one_share = ") +
+                              share + "\n");
+    ASSERT_TRUE(ini.is_ok());
+    EXPECT_TRUE(board::board_config_from_ini(ini.value()).is_ok());
+  }
 }
 
 TEST(ConfigIoTest, ParseErrorPropagates) {

@@ -835,11 +835,23 @@ void ReliableChannel::capture(ChannelCheckpoint* out) const {
 }
 
 bool ReliableChannel::fits(const ChannelCheckpoint& ck) const {
-  return ck.pc_global < board_.geometry().total_pcs() &&
-         ck.journal.size() == capacity() && ck.live.size() == capacity() &&
-         ck.remap.size() == capacity() &&
-         ck.clean_blocks.size() == block_count() &&
-         ck.ecc_shadow.size() == ecc_->shadow_checks().size();
+  if (!(ck.pc_global < board_.geometry().total_pcs() &&
+        ck.journal.size() == capacity() && ck.live.size() == capacity() &&
+        ck.remap.size() == capacity() &&
+        ck.clean_blocks.size() == block_count() &&
+        ck.ecc_shadow.size() == ecc_->shadow_checks().size() &&
+        ck.scrub_cursor < capacity())) {
+    return false;
+  }
+  // Every parked beat is special: the range paths only look for parked
+  // beats where the special set says to.
+  std::vector<std::uint64_t> special = ck.special;
+  std::sort(special.begin(), special.end());
+  return std::all_of(ck.parked.begin(), ck.parked.end(),
+                     [&](std::uint64_t key) {
+                       return std::binary_search(special.begin(),
+                                                 special.end(), key);
+                     });
 }
 
 void ReliableChannel::restore(const ChannelCheckpoint& ck) {

@@ -332,9 +332,9 @@ class ReliableChannel {
   /// PCs, burst extras, and raw array words.
   void capture(ChannelCheckpoint* out) const;
   void restore(const ChannelCheckpoint& ck);
-  /// True when restore() accepts `ck`: silicon on this board, and journal,
+  /// True when restore() accepts `ck`: silicon on this board; journal,
   /// live map, remap, clean-block marks, and ECC shadow sized to this
-  /// channel.
+  /// channel; the scrub cursor inside it; and every parked beat special.
   [[nodiscard]] bool fits(const ChannelCheckpoint& ck) const;
 
   [[nodiscard]] const ChannelStats& stats() const noexcept { return stats_; }

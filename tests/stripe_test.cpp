@@ -3,6 +3,7 @@
 // seam that makes a mid-rebuild kill+resume byte-identical.
 
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -280,6 +281,17 @@ TEST(StripeTest, RestoreRejectsMalformedCheckpoints) {
       {"parity journal short",
        [](runtime::FleetCheckpoint& ck, unsigned) {
          ck.parity[0].journal.pop_back();
+       }},
+      {"scrub cursor past capacity",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         ck.channels[1].scrub_cursor = ck.channels[1].remap.size();
+       }},
+      {"parked beats not special",
+       [](runtime::FleetCheckpoint& ck, unsigned) {
+         auto& channel = ck.channels[1];
+         channel.parked = {3, 1};
+         std::erase_if(channel.special,
+                       [](std::uint64_t key) { return key == 1 || key == 3; });
        }},
   };
   for (const auto& [name, mutate] : cases) {

@@ -246,9 +246,10 @@ BENCHMARK(BM_TelemetryOverhead)
 // online).  The board is rebuilt per iteration -- the ladder mutates
 // voltage and array state, so a fresh loop body is the only way
 // iterations measure the same thing -- but construction, the lazy
-// fault-overlay build (~50 ms for a weak PC at 950 mV, forced by one beat
-// read), and trace generation happen under PauseTiming: the counter is
-// serving throughput, not setup.
+// weak-cell order and fault-overlay build (~15-20 ms for one 2^19-bit PC,
+// nearly all of it the order; forced by one beat read), and trace
+// generation happen under PauseTiming: the counter is serving
+// throughput, not setup.
 void BM_ResilientServe(benchmark::State& state) {
   const int mv = static_cast<int>(state.range(0));
   constexpr std::uint64_t kOps = 1 << 14;

@@ -68,15 +68,19 @@ WeakCellOrder::WeakCellOrder(const hbm::HbmGeometry& geometry,
   const unsigned drop = 64 - bucket_bits;
   const std::size_t buckets = std::size_t{1} << bucket_bits;
 
-  // Split the cells by polarity, ascending, straight into the orders --
-  // allocated at their exact sizes before any transient buffer -- and
-  // histogram the keys: histogram[p * buckets + b] cells of polarity p
-  // fall in bucket b.
+  // Split the cells by polarity, ascending, straight into the orders
+  // (sized exactly), and histogram the keys: histogram[p * buckets + b]
+  // cells of polarity p fall in bucket b.  Allocation order matters for
+  // memory: the histogram before the long-lived orders, the (key, cell)
+  // buffer after them.  Allocating the histogram after the orders let the
+  // peak RSS of repeated fresh-board campaigns on two threads climb with
+  // the campaign count (123 MB after 31 campaigns, 137 MB after 97, versus
+  // about 85 MB either way with this order).
+  std::vector<std::uint64_t> histogram(2 * buckets, 0);
   std::uint64_t n1 = 0;
   for (std::uint64_t cell = 0; cell < n; ++cell) n1 += stuck1(cell);
   order_sa0_.resize(static_cast<std::size_t>(n - n1));
   order_sa1_.resize(static_cast<std::size_t>(n1));
-  std::vector<std::uint64_t> histogram(2 * buckets, 0);
   std::uint32_t* next[2] = {order_sa0_.data(), order_sa1_.data()};
   for_each_run([&](std::uint64_t lo, std::uint64_t hi, unsigned shift) {
     for (std::uint64_t cell = lo; cell < hi; ++cell) {

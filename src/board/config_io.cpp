@@ -69,8 +69,7 @@ Result<BoardConfig> board_config_from_ini(const IniFile& ini) {
   HBMVOLT_RETURN_IF_ERROR(apply(ini, "faults", "stuck_at_one_share",
                                 &IniFile::get_double,
                                 faults.stuck_at_one_share));
-  // A probability: NaN, infinities and values outside [0, 1] split no
-  // cells into polarities.
+  // A probability: NaN, infinities and values outside [0, 1] are rejected.
   if (!(faults.stuck_at_one_share >= 0.0 &&
         faults.stuck_at_one_share <= 1.0)) {
     return invalid_argument("[faults] stuck_at_one_share must lie in [0, 1]");
@@ -103,6 +102,10 @@ Result<BoardConfig> board_config_from_ini(const IniFile& ini) {
   HBMVOLT_RETURN_IF_ERROR(apply(ini, "clustering", "cluster_key_shift",
                                 &IniFile::get_uint64,
                                 config.weak_config.cluster_key_shift));
+  if (config.weak_config.cluster_key_shift > 63) {
+    return invalid_argument(
+        "[clustering] cluster_key_shift must be at most 63 (a 64-bit key)");
+  }
 
   // [power]
   if (ini.has("power", "p_full_load_w")) {

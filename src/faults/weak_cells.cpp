@@ -17,6 +17,8 @@ WeakCellOrder::WeakCellOrder(const hbm::HbmGeometry& geometry,
     : geometry_(geometry) {
   HBMVOLT_REQUIRE(geometry_.bits_per_pc <= (1ull << 32),
                   "simulated PC capacity limited to 2^32 bits");
+  HBMVOLT_REQUIRE(config.cluster_key_shift < 64,
+                  "cluster_key_shift must be below 64 (keys are 64-bit)");
   const auto n = geometry_.bits_per_pc;
 
   // Place cluster windows.

@@ -313,6 +313,13 @@ TEST(WeakCellOrderDeathTest, RejectsCapacityBeyond32BitCellIndices) {
   EXPECT_DEATH(WeakCellOrder(g, 42, WeakCellConfig{}), "2\\^32");
 }
 
+TEST(WeakCellOrderDeathTest, RejectsKeyShiftBeyondTheKeyWidth) {
+  WeakCellConfig config;
+  config.cluster_key_shift = 64;
+  EXPECT_DEATH(WeakCellOrder(HbmGeometry::test_tiny(), 42, config),
+               "cluster_key_shift");
+}
+
 TEST(WeakCellOrderTest, DeterministicPerSeed) {
   const auto g = HbmGeometry::test_tiny();
   const WeakCellOrder a(g, 42, WeakCellConfig{});

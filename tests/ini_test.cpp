@@ -168,6 +168,16 @@ TEST(ConfigIoTest, StuckAtOneShareMustBeAProbability) {
   }
 }
 
+TEST(ConfigIoTest, ClusterKeyShiftMustFitTheKey) {
+  auto ini = IniFile::parse("[clustering]\ncluster_key_shift = 64\n");
+  ASSERT_TRUE(ini.is_ok());
+  EXPECT_EQ(board::board_config_from_ini(ini.value()).status().code(),
+            StatusCode::kInvalidArgument);
+  ini = IniFile::parse("[clustering]\ncluster_key_shift = 63\n");
+  ASSERT_TRUE(ini.is_ok());
+  EXPECT_TRUE(board::board_config_from_ini(ini.value()).is_ok());
+}
+
 TEST(ConfigIoTest, ParseErrorPropagates) {
   auto ini = IniFile::parse("[power]\nidle_fraction = abc\n");
   ASSERT_TRUE(ini.is_ok());
